@@ -5,14 +5,9 @@
 //
 // Usage:
 //
-//	seatwin-eval -exp all|table1|table2|figure6|dataset|vtff|eventbench
+//	seatwin-eval -exp all|table1|table2|figure6|dataset|vtff
 //	             [-scale small|full] [-seed 42]
 //	             [-vessels 20000] [-messages 400000]   (figure6)
-//	             [-eventbench-out BENCH_PR10.json]     (eventbench)
-//
-// eventbench is not part of "all": it compares the event-detection
-// fast paths against the map-scan oracles (see DESIGN.md §16) and is
-// run explicitly to regenerate BENCH_PR10.json.
 package main
 
 import (
@@ -29,8 +24,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "all | table1 | table2 | figure6 | dataset | vtff | eventbench")
-		ebOut     = flag.String("eventbench-out", "", "eventbench: also write the JSON artifact here")
+		exp       = flag.String("exp", "all", "all | table1 | table2 | figure6 | dataset | vtff")
 		rate      = flag.Float64("rate", 3000, "figure6: ingest pacing, messages/second (0 = max speed)")
 		scaleFlag = flag.String("scale", "small", "small (fast) | full (EXPERIMENTS.md scale)")
 		seed      = flag.Int64("seed", 42, "experiment seed")
@@ -44,21 +38,6 @@ func main() {
 		scale = experiments.Full
 	}
 	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if *exp == "eventbench" {
-		cfg := experiments.DefaultEventBenchConfig()
-		cfg.Seed = *seed
-		log.Printf("running event-detection benchmark (occupancies %v)...", cfg.Occupancies)
-		res := experiments.RunEventBench(cfg)
-		fmt.Println(res.Format())
-		if *ebOut != "" {
-			if err := res.WriteFile(*ebOut); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *ebOut)
-		}
-		return
-	}
 
 	needModel := want("table1") || want("table2") || want("dataset") || want("vtff")
 	var tm experiments.TrainedModel

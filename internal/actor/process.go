@@ -79,7 +79,7 @@ func (p *process) run() {
 	for {
 		p.processBatch()
 		p.mb.setIdle()
-		if p.mb.empty() || atomic.LoadInt32(&p.dead) == 1 {
+		if p.mb.empty() {
 			return
 		}
 		// Work arrived between the drain and setIdle; try to take the
@@ -100,7 +100,14 @@ func (p *process) processBatch() {
 			p.handleSystem(msg)
 			continue
 		}
-		if atomic.LoadInt32(&p.dead) == 1 || p.mb.isSuspended() {
+		if atomic.LoadInt32(&p.dead) == 1 {
+			// A sender that saw the actor alive can push after doStop's
+			// flush; its schedule lands here, so the message is
+			// dead-lettered instead of stranded.
+			p.flushDeadLetters()
+			return
+		}
+		if p.mb.isSuspended() {
 			return
 		}
 		e, ok := p.mb.popUser()
@@ -228,15 +235,20 @@ func (p *process) doStop() {
 	p.system.unregister(p.pid)
 	atomic.AddUint64(&p.system.stats.ActorsStopped, 1)
 
-	// Flush whatever is still queued to dead letters.
+	p.flushDeadLetters()
+	close(p.done)
+}
+
+// flushDeadLetters routes every queued user envelope to dead letters.
+// It runs on the processing goroutine (the mailbox's single consumer).
+func (p *process) flushDeadLetters() {
 	for {
 		e, ok := p.mb.popUser()
 		if !ok {
-			break
+			return
 		}
 		p.system.deadLetter(p.pid, e.message, e.sender)
 	}
-	close(p.done)
 }
 
 func (p *process) addChild(kid *PID) {

@@ -101,22 +101,6 @@ func TestGetOrSpawnConcurrentSpawnPassivate(t *testing.T) {
 	}
 }
 
-// TestSingleShardSystemBehaves checks the shards=1 baseline (the
-// pre-sharding global lock) still provides the same semantics.
-func TestSingleShardSystemBehaves(t *testing.T) {
-	sys := NewSystemSharded("one", 1)
-	defer sys.Shutdown(time.Second)
-	props := PropsOf(func(c *Context) {})
-	a, spawnedA := sys.GetOrSpawn("x", props)
-	b, spawnedB := sys.GetOrSpawn("x", props)
-	if !spawnedA || spawnedB || a != b {
-		t.Fatalf("GetOrSpawn semantics broken: %v %v %v %v", a, spawnedA, b, spawnedB)
-	}
-	if sys.RegistrySize() != 1 || len(sys.RegistryShardSizes()) != 1 {
-		t.Fatalf("size bookkeeping: %d shards=%v", sys.RegistrySize(), sys.RegistryShardSizes())
-	}
-}
-
 // TestLookupRemovesDeadEntry verifies the stale-registry fix: a
 // registry entry whose actor has died is deleted eagerly by Lookup
 // instead of lingering until the process unregisters.

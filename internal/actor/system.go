@@ -23,8 +23,7 @@ type System struct {
 
 	nextID uint64
 
-	shards    []registryShard
-	shardMask uint64
+	shards [registryShards]registryShard
 
 	events *EventStream
 	stats  Stats
@@ -73,10 +72,10 @@ func (sh *registryShard) lookup(name string, onUnregister func(*PID)) *PID {
 	return nil
 }
 
-// defaultRegistryShards spreads spawn contention well past the core
-// counts of current hardware while keeping the per-system footprint
-// trivial (a few KiB).
-const defaultRegistryShards = 64
+// registryShards spreads spawn contention well past the core counts of
+// current hardware while keeping the per-system footprint trivial (a
+// few KiB). It must be a power of two (shardOf masks the hash).
+const registryShards = 64
 
 // shardOf maps a name to its registry stripe (inlined FNV-1a).
 func (s *System) shardOf(name string) *registryShard {
@@ -89,7 +88,7 @@ func (s *System) shardOf(name string) *registryShard {
 		h ^= uint64(name[i])
 		h *= prime64
 	}
-	return &s.shards[h&s.shardMask]
+	return &s.shards[h&(registryShards-1)]
 }
 
 // Stats aggregates system-level counters. All fields are read with
@@ -104,26 +103,12 @@ type Stats struct {
 }
 
 // NewSystem creates an actor system with the default per-run throughput
-// of 300 messages and the default registry shard count.
+// of 300 messages.
 func NewSystem(name string) *System {
-	return NewSystemSharded(name, defaultRegistryShards)
-}
-
-// NewSystemSharded creates an actor system whose named-actor registry
-// is striped over the given number of shards, rounded up to a power of
-// two (minimum 1). A single shard reproduces the pre-sharding global
-// registry lock and serves as the benchmark baseline.
-func NewSystemSharded(name string, shards int) *System {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
 	return &System{
 		name:       name,
 		throughput: 300,
 		events:     NewEventStream(),
-		shards:     make([]registryShard, n),
-		shardMask:  uint64(n - 1),
 	}
 }
 

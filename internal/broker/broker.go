@@ -452,6 +452,8 @@ func (c *Consumer) Assignment() []int {
 // Poll returns up to max records from the consumer's assigned
 // partitions, waiting up to wait for data. It advances the in-flight
 // position but not the committed offset; call Commit after processing.
+// A wait that expires with nothing to read returns an empty, non-nil
+// batch; nil means the consumer is closed, and so the end of the stream.
 //
 // An empty poll blocks on the topic's broadcast channel — no sleeping
 // or spinning — and wakes on the next Produce, on a group membership
@@ -474,7 +476,7 @@ func (c *Consumer) Poll(max int, wait time.Duration) []Record {
 		select {
 		case <-wake:
 		case <-timer.C:
-			return nil
+			return []Record{}
 		case <-c.closeCh:
 			return nil
 		}

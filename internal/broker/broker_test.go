@@ -25,7 +25,7 @@ func TestProduceConsumeSingle(t *testing.T) {
 	var got []Record
 	for len(got) < 100 {
 		recs := c.Poll(50, time.Second)
-		if recs == nil {
+		if len(recs) == 0 {
 			t.Fatalf("poll stalled at %d records", len(got))
 		}
 		got = append(got, recs...)
@@ -57,7 +57,7 @@ func TestPerKeyOrdering(t *testing.T) {
 	total := 0
 	for total < keys*perKey {
 		recs := c.Poll(100, time.Second)
-		if recs == nil {
+		if len(recs) == 0 {
 			t.Fatal("poll stalled")
 		}
 		for _, r := range recs {
@@ -158,7 +158,7 @@ func TestUncommittedRedeliveredAfterRebalance(t *testing.T) {
 	for _, c := range []*Consumer{c1, c2} {
 		for {
 			recs := c.Poll(10, 50*time.Millisecond)
-			if recs == nil {
+			if len(recs) == 0 {
 				break
 			}
 			got += len(recs)
@@ -264,11 +264,17 @@ func TestPollTimeout(t *testing.T) {
 	c, _ := b.Subscribe("t", "g")
 	start := time.Now()
 	recs := c.Poll(10, 30*time.Millisecond)
-	if recs != nil {
-		t.Fatalf("empty topic returned %d records", len(recs))
+	// An expired wait is an empty batch, never the nil that means
+	// closed: consume loops must keep polling.
+	if recs == nil || len(recs) != 0 {
+		t.Fatalf("expired poll returned %#v, want an empty non-nil batch", recs)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("poll returned too early: %v", d)
+	}
+	c.Close()
+	if recs := c.Poll(10, time.Second); recs != nil {
+		t.Fatalf("closed poll returned %#v, want nil", recs)
 	}
 }
 
@@ -344,7 +350,7 @@ func BenchmarkProduceConsume(b *testing.B) {
 	}
 	for consumed < b.N {
 		recs := c.Poll(1024, time.Second)
-		if recs == nil {
+		if len(recs) == 0 {
 			break
 		}
 		consumed += len(recs)
@@ -412,7 +418,7 @@ func TestSubscribeWakesBlockedMember(t *testing.T) {
 		n := 0
 		for {
 			recs := c1.Poll(100, 2*time.Second)
-			if recs == nil {
+			if len(recs) == 0 {
 				done <- n
 				return
 			}
@@ -474,7 +480,7 @@ func TestGroupLags(t *testing.T) {
 	var n int
 	for n < 10 {
 		recs := c.Poll(100, time.Second)
-		if recs == nil {
+		if len(recs) == 0 {
 			t.Fatalf("poll stalled at %d records", n)
 		}
 		n += len(recs)

@@ -35,7 +35,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	got := 0
 	for got < 50 {
 		recs := c.Poll(50-got, time.Second)
-		if recs == nil {
+		if len(recs) == 0 {
 			t.Fatal("poll stalled")
 		}
 		got += len(recs)
@@ -67,7 +67,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	remaining := 0
 	for {
 		recs := c2.Poll(200, 200*time.Millisecond)
-		if recs == nil {
+		if len(recs) == 0 {
 			break
 		}
 		for _, r := range recs {
@@ -131,7 +131,7 @@ func TestDurableOffsetsSurviveWithoutReplayedGroupFile(t *testing.T) {
 	got := 0
 	for {
 		recs := c.Poll(100, 200*time.Millisecond)
-		if recs == nil {
+		if len(recs) == 0 {
 			break
 		}
 		got += len(recs)

@@ -322,9 +322,9 @@ func WrapConsumer(c *broker.Consumer, in *Injector) *Consumer {
 	return &Consumer{inner: c, in: in}
 }
 
-// Poll fetches records with faults injected before the real fetch.
-// The empty (non-nil) batch on an injected error distinguishes "fault,
-// retry later" from the inner consumer's nil "closed or timed out".
+// Poll fetches records with faults injected before the real fetch. An
+// injected error returns an empty (non-nil) batch, as an expired wait
+// does: "nothing now, poll again", never the nil that means closed.
 func (c *Consumer) Poll(max int, wait time.Duration) []broker.Record {
 	if err := c.in.fault("broker.Poll"); err != nil {
 		return []broker.Record{}

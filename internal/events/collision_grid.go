@@ -15,9 +15,10 @@ import (
 // prune far-apart traffic.
 const collBinMeters = 15000.0
 
-// GridDetector is the fast-path replacement for the map-scan collision
-// Detector (which it keeps as its parity oracle). Semantics are
-// identical; the cost model is not:
+// GridDetector is the collision actors' detector, the fast-path
+// replacement for a map scan over the cell's forecasts (kept in
+// oracle_test.go as its parity oracle). Semantics are identical; the
+// cost model is not:
 //
 //   - Each forecast is interpolated ONCE at insert onto the
 //     epoch-aligned checkStep tick grid (see collision.go) into a
@@ -103,7 +104,7 @@ type collSlot struct {
 }
 
 // NewGridDetector creates a grid detector whose forecasts expire after
-// the given duration (0 means 10 minutes), matching NewDetector.
+// the given duration (0 means 10 minutes).
 func NewGridDetector(cfg CollisionConfig, expire time.Duration) *GridDetector {
 	if expire <= 0 {
 		expire = 10 * time.Minute

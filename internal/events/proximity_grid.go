@@ -8,9 +8,10 @@ import (
 	"seatwin/internal/geo"
 )
 
-// GridProximityDetector is the fast-path replacement for
-// ProximityDetector (which it keeps as its parity oracle — see the
-// parity tests). Semantics are identical; the cost model is not:
+// GridProximityDetector is the cell actors' close-proximity detector,
+// the fast-path replacement for a map scan over the cell's vessels
+// (kept in oracle_test.go as its parity oracle). Semantics are
+// identical; the cost model is not:
 //
 //   - Tracked vessels live in a flat slot arena bucketed into a spatial
 //     micro-grid of ThresholdMeters-sized sub-bins, so an update probes

@@ -414,10 +414,11 @@ func (h *Hub) AttachStream(es *actor.EventStream) (detach func()) {
 }
 
 // ConsumeLoop drains a broker consumer into the hub until the consumer
-// closes or the hub shuts down — the durable wiring against the
-// seatwin-states / seatwin-events output topics. decode converts one
-// record into a hub input (State or events.Event); nil uses the record
-// value as-is. Returns the number of frames published.
+// closes (a nil poll) or the hub shuts down — the durable wiring
+// against the seatwin-states / seatwin-events output topics. An expired
+// poll wait is not the end of the stream: the loop polls again. decode
+// converts one record into a hub input (State or events.Event); nil
+// uses the record value as-is. Returns the number of frames published.
 func (h *Hub) ConsumeLoop(c *broker.Consumer, decode func(broker.Record) (any, bool), pollWait time.Duration) int {
 	n := 0
 	for {
@@ -430,6 +431,9 @@ func (h *Hub) ConsumeLoop(c *broker.Consumer, decode func(broker.Record) (any, b
 		recs := c.Poll(512, pollWait)
 		if recs == nil {
 			return n
+		}
+		if len(recs) == 0 {
+			continue
 		}
 		for _, r := range recs {
 			v := any(r.Value)

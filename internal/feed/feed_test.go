@@ -419,9 +419,56 @@ func TestConsumeLoop(t *testing.T) {
 	if d.Type != "state" {
 		t.Fatalf("frame %q", d.Type)
 	}
+	// Closing the consumer, not an expired poll wait, ends the loop.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if ls, _ := b.Lag("seatwin-states", "feed"); ls[0]+ls[1] == 0 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.Close()
 	n := <-done
 	if n != 1 {
 		t.Fatalf("consume loop published %d frames, want 1", n)
+	}
+}
+
+// TestConsumeLoopOutlivesExpiredPoll: a poll wait that expires with
+// nothing to read leaves the loop consuming; only closing the consumer
+// ends it.
+func TestConsumeLoopOutlivesExpiredPoll(t *testing.T) {
+	b := broker.New()
+	if err := b.CreateTopic("seatwin-states", 1); err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.Subscribe("seatwin-states", "feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHub(Options{})
+	defer h.Close()
+	sub, err := h.SubscribeRequest(Request{Vessels: []string{"237000001"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	done := make(chan int, 1)
+	go func() { done <- h.ConsumeLoop(c, nil, 20*time.Millisecond) }()
+
+	b.Produce("seatwin-states", "237000001", testState(237000001, geo.Point{Lat: 37.5, Lon: 24.5}))
+	recvOne(t, sub)
+	time.Sleep(100 * time.Millisecond) // several poll waits expire empty
+	b.Produce("seatwin-states", "237000001", testState(237000001, geo.Point{Lat: 37.6, Lon: 24.6}))
+	recvOne(t, sub)
+
+	c.Close()
+	select {
+	case n := <-done:
+		if n != 2 {
+			t.Fatalf("consume loop published %d frames, want 2", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("consume loop did not return after its consumer closed")
 	}
 }
 

@@ -362,8 +362,8 @@ func TestTrainCompiledEdgeShapes(t *testing.T) {
 }
 
 // BenchmarkTrainBatchPaths compares one optimisation step on the
-// serving-shape model across the four path/worker combinations the
-// BENCH_PR8 harness records.
+// serving-shape model across the four path/worker combinations:
+// reference and compiled, at one and two workers.
 func BenchmarkTrainBatchPaths(b *testing.B) {
 	cfg := Config{InputDim: 3, Hidden: 32, OutputDim: 12, Bidirectional: true, Seed: 1}
 	rng := rand.New(rand.NewSource(20))

@@ -508,7 +508,10 @@ func (cl *clusterState) consumeLoop(pc *partConsumer) {
 		}
 		recs := pc.cons.Poll(256, 200*time.Millisecond)
 		if recs == nil {
-			// Timed out or closed; re-check stop and ownership.
+			return // closed
+		}
+		if len(recs) == 0 {
+			// Timed out; re-check stop and ownership.
 			if cl.table.WorkerOf(pc.part) != cl.me {
 				return
 			}

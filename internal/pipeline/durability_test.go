@@ -79,7 +79,7 @@ func warmRun(t *testing.T, dir string, store *kvstore.Store, topic string, mmsi 
 		t.Fatal(err)
 	}
 	last := produceTrack(t, br, topic, mmsi, start, n, t0)
-	if got := p.ConsumeLoop(c, 400*time.Millisecond); got != n {
+	if got := consumeAll(t, p, br, topic, "pipeline", c, c, 400*time.Millisecond, int64(n)); got != n {
 		t.Fatalf("warm run consumed %d records, want %d", got, n)
 	}
 	p.Drain(10 * time.Second)
@@ -140,7 +140,7 @@ func TestRestartRecoveryForecastsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Committed group offsets must hold back the already-consumed 8.
-	if got := p.ConsumeLoop(c, 400*time.Millisecond); got != 1 {
+	if got := consumeAll(t, p, br, topic, "pipeline", c, c, 400*time.Millisecond, 9); got != 1 {
 		t.Fatalf("post-restart loop ingested %d records, want 1 (committed offsets should skip the consumed prefix)", got)
 	}
 	p.Drain(10 * time.Second)
@@ -200,7 +200,7 @@ func TestCheckpointDedupsReplayedRecords(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.ConsumeLoop(c, 400*time.Millisecond); got != 9 {
+	if got := consumeAll(t, p, br, topic, "replay", c, c, 400*time.Millisecond, 9); got != 9 {
 		t.Fatalf("replay loop ingested %d records, want 9 (8 stale + 1 new)", got)
 	}
 	p.Drain(10 * time.Second)
@@ -320,7 +320,7 @@ func TestChaosConsumeLoopDeliversEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got := p.ConsumeLoop(chaos.WrapConsumer(c, in), 250*time.Millisecond)
+	got := consumeAll(t, p, br, "ais", "g", c, chaos.WrapConsumer(c, in), 250*time.Millisecond, total)
 	if got != total {
 		t.Fatalf("consume loop delivered %d of %d records under chaos", got, total)
 	}

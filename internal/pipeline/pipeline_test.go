@@ -221,6 +221,7 @@ func TestAPIEndpoints(t *testing.T) {
 	feedTrack(p, 666000002, base, 0, 8, 2, 30*time.Second, t0)
 	feedTrack(p, 666000003, geo.Destination(base, 90, 150), 0, 8, 2, 30*time.Second, t0.Add(2*time.Second))
 	p.Drain(5 * time.Second)
+	p.Views().Refresh()
 
 	api := NewAPI(p)
 	get := func(path string) *httptest.ResponseRecorder {

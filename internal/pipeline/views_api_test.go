@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"seatwin/internal/ais"
 	"seatwin/internal/congestion"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
@@ -209,72 +208,85 @@ func TestViewsStalenessAfterNewReports(t *testing.T) {
 	}
 }
 
-// TestRegionsWithoutViews: the rollup endpoint is views-only.
-func TestRegionsWithoutViews(t *testing.T) {
-	p := newTestPipeline(t)
-	api := NewAPI(p)
-	rec := httptest.NewRecorder()
-	api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/regions", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("/api/regions without views: %d, want 404", rec.Code)
+// TestDefaultViewsServeReads: a pipeline built without Config.Views
+// builds its own, serves every list endpoint from it once refreshed,
+// and closes it on Shutdown.
+func TestDefaultViewsServeReads(t *testing.T) {
+	cfg := DefaultConfig(events.NewKinematicForecaster())
+	cfg.Ports = []congestion.Port{{
+		Name: "Piraeus", Pos: geo.Point{Lat: 37.942, Lon: 23.646},
+		Radius: 3000, Capacity: 2,
+	}}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestLegacyVesselsBoundedScan: without views, /api/vessels walks the
-// active index newest-first through the bounded reverse range — the
-// response is still correct, and bbox filtering works on this path.
-func TestLegacyVesselsBoundedScan(t *testing.T) {
-	p := newTestPipeline(t)
-	// Five vessels with distinct report times and two distinct areas.
-	for i := 0; i < 5; i++ {
-		lat := 37.5
-		if i >= 3 {
-			lat = 40.0 // north pair
-		}
-		feedTrack(p, ais.MMSI(239000001+i), geo.Point{Lat: lat, Lon: 24.5 + float64(i)*0.2}, 90, 12, 1,
-			30*time.Second, t0.Add(time.Duration(i)*time.Minute))
+	v := p.Views()
+	if v == nil {
+		t.Fatal("no views built for a nil Config.Views")
 	}
+	base := geo.Point{Lat: 37.5, Lon: 24.5}
+	feedTrack(p, 111000001, base, 0, 8, 3, 30*time.Second, t0)
+	feedTrack(p, 111000002, geo.Destination(base, 90, 200), 0, 8, 3, 30*time.Second, t0.Add(5*time.Second))
 	p.Drain(5 * time.Second)
+	v.Refresh()
+
 	api := NewAPI(p)
-	get := func(path string) *httptest.ResponseRecorder {
-		t.Helper()
+	for _, path := range []string{"/api/vessels", "/api/events", "/api/regions", "/api/congestion"} {
 		rec := httptest.NewRecorder()
 		api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec
-	}
-
-	rec := get("/api/vessels?limit=2")
-	var docs []struct {
-		MMSI string `json:"mmsi"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &docs); err != nil {
-		t.Fatal(err)
-	}
-	// Newest two = the last-ingested vessels.
-	if len(docs) != 2 || docs[0].MMSI != "239000005" || docs[1].MMSI != "239000004" {
-		t.Fatalf("bounded scan served %+v, want newest two", docs)
-	}
-
-	// bbox restricted to the southern trio.
-	rec = get("/api/vessels?bbox=37,24,38,26")
-	if err := json.Unmarshal(rec.Body.Bytes(), &docs); err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 3 {
-		t.Fatalf("bbox matched %d vessels, want 3: %+v", len(docs), docs)
-	}
-	for _, d := range docs {
-		if d.MMSI >= "239000004" {
-			t.Fatalf("northern vessel %s leaked into the southern box", d.MMSI)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
 		}
+		var docs []json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &docs); err != nil {
+			t.Fatalf("%s body: %v", path, err)
+		}
+		if len(docs) == 0 {
+			t.Fatalf("%s served nothing", path)
+		}
+	}
+
+	p.Shutdown(2 * time.Second)
+	if !refresherStopped(v) {
+		t.Fatal("Shutdown left the views it built refreshing")
 	}
 }
 
-// TestBBoxValidation: malformed boxes are client errors on both
-// serving paths.
+// TestCallerViewsOutliveShutdown: a caller-supplied Views is the
+// caller's to close; Shutdown leaves its refresher running.
+func TestCallerViewsOutliveShutdown(t *testing.T) {
+	v := views.New(views.Config{RefreshInterval: 5 * time.Millisecond})
+	defer v.Close()
+	cfg := DefaultConfig(events.NewKinematicForecaster())
+	cfg.Views = v
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Views() != v {
+		t.Fatal("pipeline replaced the caller's views")
+	}
+	p.Shutdown(2 * time.Second)
+	if refresherStopped(v) {
+		t.Fatal("Shutdown closed the caller's views")
+	}
+}
+
+// refresherStopped reports whether v's background refresher has stopped:
+// its refresh count stays put over many refresh intervals.
+func refresherStopped(v *views.Views) bool {
+	before := v.Stats().Refreshes
+	time.Sleep(300 * time.Millisecond)
+	return v.Stats().Refreshes == before
+}
+
+// TestBBoxValidation: malformed boxes are client errors on the views
+// serving path.
 func TestBBoxValidation(t *testing.T) {
-	run := func(t *testing.T, api *API) {
-		t.Helper()
+	t.Run("views", func(t *testing.T) {
+		p, _ := newViewsPipeline(t)
+		api := NewAPI(p)
 		for _, tc := range []struct {
 			path string
 			want int
@@ -293,12 +305,5 @@ func TestBBoxValidation(t *testing.T) {
 				t.Errorf("GET %s: status %d, want %d", tc.path, rec.Code, tc.want)
 			}
 		}
-	}
-	t.Run("views", func(t *testing.T) {
-		p, _ := newViewsPipeline(t)
-		run(t, NewAPI(p))
-	})
-	t.Run("kvstore", func(t *testing.T) {
-		run(t, NewAPI(newTestPipeline(t)))
 	})
 }

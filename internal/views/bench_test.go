@@ -12,7 +12,7 @@ import (
 )
 
 // populate stages n vessels and refreshes once.
-func populate(b *testing.B, v *Views, n int) {
+func populate(b testing.TB, v *Views, n int) {
 	b.Helper()
 	ts := time.Date(2023, 9, 18, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
