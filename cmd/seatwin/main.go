@@ -44,6 +44,7 @@ import (
 	"seatwin/internal/fleetsim"
 	"seatwin/internal/geo"
 	"seatwin/internal/kvstore"
+	"seatwin/internal/metrics"
 	"seatwin/internal/pipeline"
 	"seatwin/internal/retry"
 	"seatwin/internal/svrf"
@@ -387,7 +388,7 @@ func runSingle(o opts) {
 		// an in-flight retrain finishes, then the loop and consumer shut
 		// down cleanly.
 		tr.Stop()
-		ls := p.Stats().Lifecycle
+		ls := metrics.Lifecycle.Snapshot()
 		log.Printf("lifecycle: cycles=%d promotions=%d rejections=%d skips=%d generation=%d",
 			ls.Cycles, ls.Promotions, ls.Rejections, ls.Skips, ls.Generation)
 	}

@@ -97,7 +97,6 @@ type envelope struct {
 type (
 	sysStarted struct{}
 	sysStop    struct{}
-	sysResumed struct{}
 )
 
 // poisonPill travels the user lane so every message enqueued before it

@@ -73,17 +73,23 @@ func (p *process) schedule() {
 	}
 }
 
-// run drains the mailbox until it is empty, yielding the goroutine
+// run drains the mailbox until it is empty, yielding the schedule token
 // between batches so one hot actor cannot starve the scheduler.
 func (p *process) run() {
 	for {
 		p.processBatch()
+		// The read buffers belong to whichever goroutine holds the
+		// schedule token, so they are inspected before setIdle hands it
+		// back; afterwards only the producer-shared write buffers (under
+		// the mailbox lock) may be read.
+		buffered := p.mb.buffered()
 		p.mb.setIdle()
-		if p.mb.empty() {
+		if !buffered && !p.mb.pending() {
 			return
 		}
-		// Work arrived between the drain and setIdle; try to take the
-		// mailbox back. Losing the race means another goroutine has it.
+		// Work is left (the batch hit its throughput limit, or a push
+		// landed before setIdle): try to take the mailbox back. Losing
+		// the race means another goroutine has it.
 		if !p.mb.trySchedule() {
 			return
 		}
@@ -107,9 +113,6 @@ func (p *process) processBatch() {
 			p.flushDeadLetters()
 			return
 		}
-		if p.mb.isSuspended() {
-			return
-		}
 		e, ok := p.mb.popUser()
 		if !ok {
 			return
@@ -124,8 +127,6 @@ func (p *process) handleSystem(msg any) {
 		p.invokeLifecycle(Started{})
 	case sysStop:
 		p.doStop()
-	case sysResumed:
-		p.mb.resume()
 	}
 }
 

@@ -4,13 +4,7 @@
 // processing-time series of the scalability experiment (Figure 6).
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // DisplacementError accumulates average displacement error (ADE) per
 // prediction horizon, in meters.
@@ -145,94 +139,3 @@ func (m *MovingAverage) Mean() float64 {
 
 // Filled reports how many samples the window currently holds.
 func (m *MovingAverage) Filled() int { return m.filled }
-
-// LatencyRecorder aggregates processing-time observations with
-// reservoir-free exact quantiles up to a capacity, then degrades to a
-// coarse histogram. It is safe for concurrent use.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	cap     int
-	count   int64
-	sum     time.Duration
-	max     time.Duration
-}
-
-// NewLatencyRecorder keeps up to capacity exact samples (older samples
-// are overwritten ring-style so quantiles reflect recent behaviour).
-func NewLatencyRecorder(capacity int) *LatencyRecorder {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	return &LatencyRecorder{cap: capacity}
-}
-
-// Observe records one duration.
-func (l *LatencyRecorder) Observe(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.count++
-	l.sum += d
-	if d > l.max {
-		l.max = d
-	}
-	if len(l.samples) < l.cap {
-		l.samples = append(l.samples, d)
-	} else {
-		l.samples[int(l.count)%l.cap] = d
-	}
-}
-
-// Snapshot summarises the recorded latencies.
-type Snapshot struct {
-	Count                    int64
-	Mean, P50, P95, P99, Max time.Duration
-}
-
-// Snapshot computes the summary.
-func (l *LatencyRecorder) Snapshot() Snapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := Snapshot{Count: l.count, Max: l.max}
-	if l.count > 0 {
-		s.Mean = time.Duration(int64(l.sum) / l.count)
-	}
-	if len(l.samples) == 0 {
-		return s
-	}
-	sorted := append([]time.Duration(nil), l.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	q := func(f float64) time.Duration {
-		idx := int(math.Ceil(f*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		return sorted[idx]
-	}
-	s.P50, s.P95, s.P99 = q(0.50), q(0.95), q(0.99)
-	return s
-}
-
-// Counter is a simple atomic-free mutex counter usable from actors.
-type Counter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-// Inc adds n and returns the new value.
-func (c *Counter) Inc(n int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.v += n
-	return c.v
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}

@@ -2,10 +2,8 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestDisplacementError(t *testing.T) {
@@ -133,93 +131,9 @@ func TestMovingAverageMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestLatencyRecorder(t *testing.T) {
-	l := NewLatencyRecorder(1024)
-	for i := 1; i <= 100; i++ {
-		l.Observe(time.Duration(i) * time.Millisecond)
-	}
-	s := l.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count %d", s.Count)
-	}
-	if s.Max != 100*time.Millisecond {
-		t.Fatalf("max %v", s.Max)
-	}
-	if s.Mean < 50*time.Millisecond || s.Mean > 51*time.Millisecond {
-		t.Fatalf("mean %v", s.Mean)
-	}
-	if s.P50 < 49*time.Millisecond || s.P50 > 51*time.Millisecond {
-		t.Fatalf("p50 %v", s.P50)
-	}
-	if s.P95 < 94*time.Millisecond || s.P95 > 96*time.Millisecond {
-		t.Fatalf("p95 %v", s.P95)
-	}
-	if s.P99 < 98*time.Millisecond || s.P99 > 100*time.Millisecond {
-		t.Fatalf("p99 %v", s.P99)
-	}
-}
-
-func TestLatencyRecorderConcurrent(t *testing.T) {
-	l := NewLatencyRecorder(4096)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				l.Observe(time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if s := l.Snapshot(); s.Count != 8000 {
-		t.Fatalf("count %d", s.Count)
-	}
-}
-
-func TestLatencyRecorderOverCapacity(t *testing.T) {
-	l := NewLatencyRecorder(16)
-	for i := 0; i < 1000; i++ {
-		l.Observe(time.Duration(i) * time.Microsecond)
-	}
-	s := l.Snapshot()
-	if s.Count != 1000 {
-		t.Fatalf("count %d", s.Count)
-	}
-	if s.P50 <= 0 {
-		t.Fatal("quantiles must remain usable past capacity")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Inc(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("value %d", c.Value())
-	}
-}
-
 func BenchmarkMovingAverageAdd(b *testing.B) {
 	m := NewMovingAverage(100)
 	for i := 0; i < b.N; i++ {
 		m.Add(float64(i))
-	}
-}
-
-func BenchmarkLatencyObserve(b *testing.B) {
-	l := NewLatencyRecorder(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Observe(time.Microsecond)
 	}
 }

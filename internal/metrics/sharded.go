@@ -9,13 +9,11 @@ import (
 )
 
 // This file holds the striped (sharded) observability primitives of the
-// hot message path. The single-mutex LatencyRecorder and Counter above
-// serialise every observation system-wide; at the paper's Figure 6
-// scale (170K+ live vessel actors reporting concurrently) that lock is
-// a global contention point. The sharded variants spread observations
-// over padded per-shard slots — callers pass a cheap routing hint (the
-// MMSI, a hash, any stable integer) — and merge only when a snapshot is
-// taken.
+// hot message path. At the paper's Figure 6 scale (170K+ live vessel
+// actors reporting concurrently) a single lock per recorder would be a
+// global contention point, so observations spread over padded
+// per-shard slots — callers pass a cheap routing hint (the MMSI, a
+// hash, any stable integer) — and merge only when a snapshot is taken.
 
 // mix64 is the SplitMix64 finalizer: it spreads low-entropy hints
 // (sequential MMSIs, small worker ids) over the full word so the shard
@@ -156,7 +154,8 @@ func (sh *latencyShard) observe(d time.Duration) {
 	sh.mu.Unlock()
 }
 
-// ShardedLatencyRecorder is the striped counterpart of LatencyRecorder:
+// ShardedLatencyRecorder keeps exact samples in per-shard rings (older
+// samples are overwritten, so quantiles reflect recent behaviour):
 // observations take only their shard's mutex, and Snapshot merges the
 // shards (concatenating the sample rings before computing quantiles).
 type ShardedLatencyRecorder struct {
@@ -165,8 +164,8 @@ type ShardedLatencyRecorder struct {
 }
 
 // NewShardedLatencyRecorder stripes up to capacity exact samples over
-// the given number of shards (both rounded up / defaulted as in the
-// unsharded recorder).
+// the given number of shards (rounded up to a power of two; <=0 selects
+// the default shard count and a 64K-sample capacity).
 func NewShardedLatencyRecorder(shards, capacity int) *ShardedLatencyRecorder {
 	if shards <= 0 {
 		shards = defaultShards
@@ -191,18 +190,23 @@ func (l *ShardedLatencyRecorder) Observe(hint uint64, d time.Duration) {
 	l.shards[mix64(hint)&l.mask].observe(d)
 }
 
+// Snapshot summarises the recorded latencies.
+type Snapshot struct {
+	Count                         int64
+	Sum, Mean, P50, P95, P99, Max time.Duration
+}
+
 // Snapshot merges every shard into one summary.
 func (l *ShardedLatencyRecorder) Snapshot() Snapshot {
 	var (
 		s      Snapshot
-		sum    time.Duration
 		merged []time.Duration
 	)
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
 		s.Count += sh.count
-		sum += sh.sum
+		s.Sum += sh.sum
 		if sh.max > s.Max {
 			s.Max = sh.max
 		}
@@ -210,7 +214,7 @@ func (l *ShardedLatencyRecorder) Snapshot() Snapshot {
 		sh.mu.Unlock()
 	}
 	if s.Count > 0 {
-		s.Mean = time.Duration(int64(sum) / s.Count)
+		s.Mean = time.Duration(int64(s.Sum) / s.Count)
 	}
 	if len(merged) == 0 {
 		return s

@@ -99,28 +99,46 @@ func TestShardedAccumulatorConcurrent(t *testing.T) {
 	}
 }
 
+// observeSeries feeds 1..n units to a fresh recorder, spreading the
+// observations over its shards, and checks the merged snapshot.
+func observeSeries(t *testing.T, shards, capacity, n int, unit time.Duration, want Snapshot) {
+	t.Helper()
+	l := NewShardedLatencyRecorder(shards, capacity)
+	for i := 1; i <= n; i++ {
+		l.Observe(uint64(i), time.Duration(i)*unit)
+	}
+	if got := l.Snapshot(); got != want {
+		t.Fatalf("Snapshot = %+v\nwant       %+v", got, want)
+	}
+}
+
+// exactSeries is the snapshot of 1..100 ms with every sample retained:
+// quantiles are exact (nearest rank).
+var exactSeries = Snapshot{
+	Count: 100, Sum: 5050 * time.Millisecond, Mean: 50500 * time.Microsecond,
+	P50: 50 * time.Millisecond, P95: 95 * time.Millisecond,
+	P99: 99 * time.Millisecond, Max: 100 * time.Millisecond,
+}
+
+// A one-shard recorder is a plain bounded latency recorder.
+func TestLatencyRecorder(t *testing.T) {
+	observeSeries(t, 1, 1024, 100, time.Millisecond, exactSeries)
+}
+
+// Past capacity the ring keeps the most recent samples: the quantiles
+// come from the last 16 observations (985..1000 us) while count, sum,
+// mean and max still cover all 1000.
+func TestLatencyRecorderOverCapacity(t *testing.T) {
+	us := time.Microsecond
+	observeSeries(t, 1, 16, 1000, us, Snapshot{
+		Count: 1000, Sum: 500500 * us, Mean: 500500 * time.Nanosecond,
+		P50: 992 * us, P95: 1000 * us, P99: 1000 * us, Max: 1000 * us,
+	})
+}
+
+// Merging the shards' rings yields the same snapshot as one recorder.
 func TestShardedLatencyRecorderSnapshot(t *testing.T) {
-	l := NewShardedLatencyRecorder(4, 1024)
-	for i := 1; i <= 100; i++ {
-		l.Observe(uint64(i), time.Duration(i)*time.Millisecond)
-	}
-	s := l.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("Count = %d, want 100", s.Count)
-	}
-	if s.Max != 100*time.Millisecond {
-		t.Fatalf("Max = %v, want 100ms", s.Max)
-	}
-	wantMean := 50500 * time.Microsecond // mean of 1..100 ms
-	if s.Mean != wantMean {
-		t.Fatalf("Mean = %v, want %v", s.Mean, wantMean)
-	}
-	if s.P50 < 40*time.Millisecond || s.P50 > 60*time.Millisecond {
-		t.Fatalf("P50 = %v, out of range", s.P50)
-	}
-	if s.P99 < 90*time.Millisecond {
-		t.Fatalf("P99 = %v, too low", s.P99)
-	}
+	observeSeries(t, 4, 1024, 100, time.Millisecond, exactSeries)
 }
 
 func TestShardedLatencyRecorderConcurrent(t *testing.T) {

@@ -3,7 +3,7 @@ package pipeline
 import (
 	"encoding/json"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"seatwin/internal/broker"
 	"seatwin/internal/geo"
 	"seatwin/internal/lvrf"
 )
@@ -90,13 +89,18 @@ func (a *API) EnablePprof() {
 	a.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
+// logAPIWriteError records a response body that failed mid-write.
+func logAPIWriteError(body string, err error) {
+	slog.Warn("write response", "component", "api", "body", body, "err", err)
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Headers are already on the wire, so no status can be changed;
 		// a failed encode (almost always a client hang-up mid-body) must
 		// still be visible to operators rather than vanish.
-		log.Printf("api: encode response: %v", err)
+		logAPIWriteError("response", err)
 	}
 }
 
@@ -131,118 +135,10 @@ func (a *API) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]string{"status": "ok"})
 }
 
-// detectionDoc renders one detector family's telemetry for /api/stats.
-func detectionDoc(d DetectionStats) map[string]any {
-	return map[string]any{
-		"update_mean":   d.UpdateLatency.Mean.String(),
-		"update_p99":    d.UpdateLatency.P99.String(),
-		"updates":       d.UpdateLatency.Count,
-		"candidates":    d.Candidates,
-		"pairs_checked": d.Checked,
-		"evictions":     d.Evicted,
-		"tracked":       d.Tracked,
-	}
-}
-
+// handleStats serves the metrics registry as one JSON object keyed by
+// series name — the same series /metrics exposes.
 func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s := a.p.Stats()
-	doc := map[string]any{
-		"messages":     s.Messages,
-		"forecasts":    s.Forecasts,
-		"live_actors":  s.LiveActors,
-		"events":       s.Events,
-		"dead_letters": s.DeadLetter,
-		"latency_mean": s.Latency.Mean.String(),
-		"latency_p95":  s.Latency.P95.String(),
-		"latency_p99":  s.Latency.P99.String(),
-		"infer_mean":   s.InferLatency.Mean.String(),
-		"infer_p99":    s.InferLatency.P99.String(),
-
-		"retry_attempts":      s.RetryAttempts,
-		"retry_retried":       s.RetryRetried,
-		"retry_exhausted":     s.RetryExhausted,
-		"checkpoint_saves":    s.CheckpointSaves,
-		"checkpoint_restores": s.CheckpointRestores,
-		"checkpoint_failures": s.CheckpointFailures,
-
-		"events_detection": map[string]any{
-			"proximity": detectionDoc(s.ProximityDetection),
-			"collision": detectionDoc(s.CollisionDetection),
-		},
-	}
-	vs := a.p.cfg.Views.Stats()
-	doc["views"] = map[string]any{
-		"epoch":          vs.Epoch,
-		"epoch_age":      vs.EpochAge.String(),
-		"refreshes":      vs.Refreshes,
-		"states_applied": vs.StatesApplied,
-		"events_applied": vs.EventsApplied,
-		"refresh_mean":   vs.RefreshMean.String(),
-		"refresh_p99":    vs.RefreshP99.String(),
-		"snapshot_bytes": vs.SnapshotBytes,
-		"vessels":        vs.Vessels,
-		"cells":          vs.Cells,
-		"events_window":  vs.EventsWindow,
-	}
-	if hub := a.p.cfg.Feed; hub != nil {
-		if rs := hub.RelayStats(); rs.Relays > 0 {
-			doc["feed_relays"] = map[string]any{
-				"relays":           rs.Relays,
-				"subscribers":      rs.Subscribers,
-				"relayed":          rs.Relayed,
-				"fanned":           rs.Fanned,
-				"conflation_drops": rs.ConflationDrops,
-				"local_dropped":    rs.LocalDropped,
-				"local_conflated":  rs.LocalConflated,
-				"disconnected":     rs.Disconnected,
-			}
-		}
-	}
-	if cs := s.Cluster; cs != nil {
-		doc["cluster"] = map[string]any{
-			"worker_id":        cs.WorkerID,
-			"epoch":            cs.Epoch,
-			"partitions":       cs.Partitions,
-			"owned_partitions": cs.OwnedPartitions,
-			"forwards":         cs.Forwards,
-			"forward_drops":    cs.ForwardDrops,
-			"received":         cs.Received,
-			"fenced":           cs.Fenced,
-			"rebalances":       cs.Rebalances,
-			"pending_forwards": cs.PendingForwards,
-		}
-	}
-	if ts := s.Train; ts.Runs > 0 || ts.Lanes > 0 {
-		doc["train"] = map[string]any{
-			"runs":            ts.Runs,
-			"epochs":          ts.Epochs,
-			"batches":         ts.Batches,
-			"samples":         ts.Samples,
-			"clip_events":     ts.ClipEvents,
-			"lanes":           ts.Lanes,
-			"train_seconds":   ts.TrainSeconds,
-			"last_loss":       ts.LastLoss,
-			"samples_per_sec": ts.SamplesPerSec,
-		}
-	}
-	if ls := s.Lifecycle; ls.Cycles > 0 {
-		doc["lifecycle"] = map[string]any{
-			"cycles":             ls.Cycles,
-			"promotions":         ls.Promotions,
-			"rejections":         ls.Rejections,
-			"skips":              ls.Skips,
-			"replay_records":     ls.ReplayRecords,
-			"lane_rebuilds":      ls.LaneRebuilds,
-			"retrain_seconds":    ls.RetrainSeconds,
-			"eval_seconds":       ls.EvalSeconds,
-			"generation":         ls.Generation,
-			"last_live_ade":      ls.LastLiveADE,
-			"last_candidate_ade": ls.LastCandidateADE,
-			"last_train_windows": ls.LastTrainWindows,
-			"last_holdout":       ls.LastHoldout,
-		}
-	}
-	writeJSON(w, doc)
+	writeJSON(w, a.p.registry.JSON())
 }
 
 // vesselJSON is one vessel state document.
@@ -342,7 +238,7 @@ func (a *API) handleVessels(w http.ResponseWriter, r *http.Request) {
 	// — no store scan, no locks, no per-request allocation.
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := a.p.cfg.Views.Vessels().WriteJSON(w, limit, box); err != nil {
-		log.Printf("api: write vessels view: %v", err)
+		logAPIWriteError("vessels view", err)
 	}
 }
 
@@ -350,7 +246,7 @@ func (a *API) handleVessels(w http.ResponseWriter, r *http.Request) {
 func (a *API) handleRegions(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := a.p.cfg.Views.Regions().WriteJSON(w); err != nil {
-		log.Printf("api: write regions view: %v", err)
+		logAPIWriteError("regions view", err)
 	}
 }
 
@@ -371,7 +267,7 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := a.p.cfg.Views.Events().WriteJSON(w, limit); err != nil {
-		log.Printf("api: write events view: %v", err)
+		logAPIWriteError("events view", err)
 	}
 }
 
@@ -454,179 +350,18 @@ func (a *API) handleCongestion(w http.ResponseWriter, _ *http.Request) {
 	// atomic load and one write.
 	w.Header().Set("Content-Type", "application/json")
 	if err := a.p.cfg.Views.Congestion().WriteJSON(w); err != nil {
-		log.Printf("api: write congestion view: %v", err)
+		logAPIWriteError("congestion view", err)
 	}
 }
 
-// handleMetrics exposes the pipeline counters in the Prometheus text
+// handleMetrics serves the metrics registry in the Prometheus text
 // exposition format, so standard observability tooling can scrape the
 // digital twin without an adapter.
 func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s := a.p.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
+	if err := a.p.registry.WritePrometheus(w); err != nil {
+		logAPIWriteError("metrics", err)
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("seatwin_messages_total", "AIS position reports ingested", float64(s.Messages))
-	counter("seatwin_forecasts_total", "route forecasts produced", float64(s.Forecasts))
-	counter("seatwin_events_total", "maritime events detected or forecast", float64(s.Events))
-	counter("seatwin_dead_letters_total", "undeliverable actor messages", float64(s.DeadLetter))
-	counter("seatwin_bad_sentences_total", "rejected NMEA sentences", float64(a.p.BadSentences()))
-	counter("seatwin_retry_attempts_total", "store/consume operation attempts under the retry policy", float64(s.RetryAttempts))
-	counter("seatwin_retry_retried_total", "operations that succeeded after at least one retry", float64(s.RetryRetried))
-	counter("seatwin_retry_exhausted_total", "operations dropped to degraded mode after exhausting retries", float64(s.RetryExhausted))
-	counter("seatwin_checkpoint_saves_total", "vessel history checkpoints written", float64(s.CheckpointSaves))
-	counter("seatwin_checkpoint_restores_total", "vessel history windows rehydrated on spawn", float64(s.CheckpointRestores))
-	counter("seatwin_checkpoint_failures_total", "checkpoint saves or loads lost after retries", float64(s.CheckpointFailures))
-	gauge("seatwin_live_actors", "currently running actors", float64(s.LiveActors))
-	fmt.Fprintf(&b, "# HELP seatwin_processing_seconds vessel-actor message processing time\n")
-	fmt.Fprintf(&b, "# TYPE seatwin_processing_seconds summary\n")
-	for _, q := range []struct {
-		label string
-		v     time.Duration
-	}{{"0.5", s.Latency.P50}, {"0.95", s.Latency.P95}, {"0.99", s.Latency.P99}} {
-		fmt.Fprintf(&b, "seatwin_processing_seconds{quantile=%q} %g\n", q.label, q.v.Seconds())
-	}
-	fmt.Fprintf(&b, "seatwin_processing_seconds_count %d\n", s.Latency.Count)
-	fmt.Fprintf(&b, "# HELP seatwin_svrf_infer_seconds model inference time within vessel-actor processing\n")
-	fmt.Fprintf(&b, "# TYPE seatwin_svrf_infer_seconds summary\n")
-	for _, q := range []struct {
-		label string
-		v     time.Duration
-	}{{"0.5", s.InferLatency.P50}, {"0.95", s.InferLatency.P95}, {"0.99", s.InferLatency.P99}} {
-		fmt.Fprintf(&b, "seatwin_svrf_infer_seconds{quantile=%q} %g\n", q.label, q.v.Seconds())
-	}
-	fmt.Fprintf(&b, "seatwin_svrf_infer_seconds_count %d\n", s.InferLatency.Count)
-	// Event-detection layer (DESIGN.md §16): per-family detector update
-	// summaries plus the candidate-pair funnel and occupancy. Exported
-	// unconditionally (all zero before the first report) so dashboards
-	// never hit a missing series.
-	for _, fam := range []struct {
-		name string
-		d    DetectionStats
-	}{{"proximity", s.ProximityDetection}, {"collision", s.CollisionDetection}} {
-		base := "seatwin_events_" + fam.name
-		fmt.Fprintf(&b, "# HELP %s_update_seconds %s detector update time per report\n", base, fam.name)
-		fmt.Fprintf(&b, "# TYPE %s_update_seconds summary\n", base)
-		for _, q := range []struct {
-			label string
-			v     time.Duration
-		}{{"0.5", fam.d.UpdateLatency.P50}, {"0.95", fam.d.UpdateLatency.P95}, {"0.99", fam.d.UpdateLatency.P99}} {
-			fmt.Fprintf(&b, "%s_update_seconds{quantile=%q} %g\n", base, q.label, q.v.Seconds())
-		}
-		fmt.Fprintf(&b, "%s_update_seconds_count %d\n", base, fam.d.UpdateLatency.Count)
-		counter(base+"_candidates_total", fam.name+" pair candidates surviving the spatial probe", float64(fam.d.Candidates))
-		counter(base+"_pairs_checked_total", fam.name+" candidate pairs fully distance-checked", float64(fam.d.Checked))
-		counter(base+"_evictions_total", "stale "+fam.name+" detector entries evicted", float64(fam.d.Evicted))
-		gauge(base+"_tracked", "entries tracked across live "+fam.name+" cells", float64(fam.d.Tracked))
-	}
-	if hub := a.p.cfg.Feed; hub != nil {
-		fs := hub.Snapshot()
-		gauge("seatwin_feed_subscribers", "live feed subscribers connected", float64(fs.Subscribers))
-		counter("seatwin_feed_subscribers_total", "live feed subscribers ever connected", float64(fs.TotalSubs))
-		counter("seatwin_feed_frames_published_total", "frames entering the feed hub", float64(fs.Published))
-		counter("seatwin_feed_frames_fanned_total", "frame deliveries enqueued to subscriber rings", float64(fs.Fanned))
-		counter("seatwin_feed_frames_dropped_total", "frames evicted by drop-oldest overflow", float64(fs.Dropped))
-		counter("seatwin_feed_frames_conflated_total", "frames conflated in place by key", float64(fs.Conflated))
-		counter("seatwin_feed_disconnects_total", "slow consumers force-disconnected", float64(fs.Disconnected))
-		gauge("seatwin_feed_fanout_p99_seconds", "p99 hub fan-out latency per publish", fs.FanoutP99.Seconds())
-		if rs := hub.RelayStats(); rs.Relays > 0 {
-			gauge("seatwin_feed_relays", "relay tiers attached to the hub", float64(rs.Relays))
-			gauge("seatwin_feed_relay_subscribers", "local subscribers behind relay tiers", float64(rs.Subscribers))
-			counter("seatwin_feed_relay_frames_total", "frames pumped through relay tiers", float64(rs.Relayed))
-			counter("seatwin_feed_relay_fanned_total", "frame deliveries enqueued to relay-local rings", float64(rs.Fanned))
-		}
-	}
-	vs := a.p.cfg.Views.Stats()
-	gauge("seatwin_views_epoch", "current materialized-view epoch", float64(vs.Epoch))
-	gauge("seatwin_views_epoch_age_seconds", "age of the serving snapshots", vs.EpochAge.Seconds())
-	counter("seatwin_views_refreshes_total", "snapshot rebuild-and-swap cycles", float64(vs.Refreshes))
-	counter("seatwin_views_states_applied_total", "vessel state deltas staged into the views", float64(vs.StatesApplied))
-	counter("seatwin_views_events_applied_total", "events staged into the views", float64(vs.EventsApplied))
-	gauge("seatwin_views_refresh_mean_seconds", "mean snapshot rebuild latency", vs.RefreshMean.Seconds())
-	gauge("seatwin_views_refresh_p99_seconds", "p99 snapshot rebuild latency", vs.RefreshP99.Seconds())
-	gauge("seatwin_views_snapshot_bytes", "pre-encoded bytes across current snapshots", float64(vs.SnapshotBytes))
-	gauge("seatwin_views_vessels", "vessels in the current world-view snapshot", float64(vs.Vessels))
-	gauge("seatwin_views_cells", "hex cells in the current region snapshot", float64(vs.Cells))
-	gauge("seatwin_views_events_window", "events in the current recent-events window", float64(vs.EventsWindow))
-	if hub := a.p.cfg.Feed; hub != nil {
-		counter("seatwin_views_relay_conflation_drops_total",
-			"upstream frames conflated away or evicted in relay tiers before local fan-out",
-			float64(hub.RelayStats().ConflationDrops))
-	}
-	if in := a.p.cfg.Chaos; in != nil {
-		cs := in.Stats()
-		counter("seatwin_chaos_errors_total", "chaos-injected operation errors", float64(cs.Errors))
-		counter("seatwin_chaos_panics_total", "chaos-injected panics", float64(cs.Panics))
-		counter("seatwin_chaos_delays_total", "chaos-injected latency delays", float64(cs.Delays))
-		counter("seatwin_chaos_truncations_total", "chaos-injected broker truncations", float64(cs.Truncations))
-	}
-	if cs := s.Cluster; cs != nil {
-		gauge("seatwin_cluster_epoch", "placement epoch in effect on this worker", float64(cs.Epoch))
-		gauge("seatwin_cluster_partitions", "cluster partition count", float64(cs.Partitions))
-		gauge("seatwin_cluster_owned_partitions", "partitions this worker owns", float64(cs.OwnedPartitions))
-		gauge("seatwin_cluster_pending_forwards", "cross-partition forwards queued or in flight", float64(cs.PendingForwards))
-		counter("seatwin_cluster_forwards_total", "records forwarded to foreign partitions", float64(cs.Forwards))
-		counter("seatwin_cluster_forward_drops_total", "forwards lost after retry exhaustion", float64(cs.ForwardDrops))
-		counter("seatwin_cluster_received_total", "records consumed from owned partition topics", float64(cs.Received))
-		counter("seatwin_cluster_fenced_total", "records abandoned on ownership loss", float64(cs.Fenced))
-		counter("seatwin_cluster_rebalances_total", "assignments applied by this worker", float64(cs.Rebalances))
-	}
-	// Training counters (process-wide recorder; all zero in a process
-	// that never trains). Exported unconditionally so dashboards can
-	// alert on "no retrain in N days" without a missing-series case.
-	ts := s.Train
-	counter("seatwin_train_runs_total", "completed S-VRF training runs", float64(ts.Runs))
-	counter("seatwin_train_epochs_total", "training epochs finished", float64(ts.Epochs))
-	counter("seatwin_train_batches_total", "optimiser steps taken", float64(ts.Batches))
-	counter("seatwin_train_samples_total", "training samples consumed (each epoch visit counts)", float64(ts.Samples))
-	counter("seatwin_train_clip_events_total", "batches whose gradient hit the clip bound", float64(ts.ClipEvents))
-	counter("seatwin_train_lanes_total", "L-VRF lane graphs built", float64(ts.Lanes))
-	counter("seatwin_train_seconds_total", "wall time spent inside training epochs", ts.TrainSeconds)
-	gauge("seatwin_train_last_loss", "most recent per-epoch mean training loss", ts.LastLoss)
-	gauge("seatwin_train_samples_per_second", "lifetime mean training throughput", ts.SamplesPerSec)
-	// Model-lifecycle counters (same unconditional-export rationale):
-	// the background trainer's retrain/shadow-eval/hot-swap loop.
-	ls := s.Lifecycle
-	counter("seatwin_lifecycle_cycles_total", "completed retrain cycles (including skips)", float64(ls.Cycles))
-	counter("seatwin_lifecycle_promotions_total", "candidates that won the shadow eval and were hot-swapped", float64(ls.Promotions))
-	counter("seatwin_lifecycle_rejections_total", "candidates rejected by the promotion gate", float64(ls.Rejections))
-	counter("seatwin_lifecycle_skips_total", "cycles skipped for lack of replayed history", float64(ls.Skips))
-	counter("seatwin_lifecycle_replay_records_total", "records replayed from broker-retained history", float64(ls.ReplayRecords))
-	counter("seatwin_lifecycle_lane_rebuilds_total", "L-VRF lane-graph rebuilds published", float64(ls.LaneRebuilds))
-	counter("seatwin_lifecycle_retrain_seconds_total", "wall time spent training candidates", ls.RetrainSeconds)
-	counter("seatwin_lifecycle_eval_seconds_total", "wall time spent shadow-evaluating candidates", ls.EvalSeconds)
-	gauge("seatwin_lifecycle_generation", "live model weight generation", float64(ls.Generation))
-	gauge("seatwin_lifecycle_last_live_ade_meters", "live model mean ADE on the most recent holdout", ls.LastLiveADE)
-	gauge("seatwin_lifecycle_last_candidate_ade_meters", "candidate mean ADE on the most recent holdout", ls.LastCandidateADE)
-	// Consumer-group lag, one gauge sample per topic+group pair, across
-	// every broker the pipeline touches (cluster forward topics and the
-	// dedicated output streams).
-	emittedLag := false
-	lag := func(bk *broker.Broker) {
-		if bk == nil {
-			return
-		}
-		for _, gl := range bk.GroupLags() {
-			if !emittedLag {
-				fmt.Fprintf(&b, "# HELP seatwin_broker_lag records committed offsets trail the log end by, per topic and group\n")
-				fmt.Fprintf(&b, "# TYPE seatwin_broker_lag gauge\n")
-				emittedLag = true
-			}
-			fmt.Fprintf(&b, "seatwin_broker_lag{topic=%q,group=%q} %d\n", gl.Topic, gl.Group, gl.Lag)
-		}
-	}
-	if cl := a.p.cl; cl != nil {
-		lag(cl.cfg.Broker)
-	}
-	if ob := a.p.cfg.OutputBroker; ob != nil && (a.p.cl == nil || ob != a.p.cl.cfg.Broker) {
-		lag(ob)
-	}
-	w.Write([]byte(b.String()))
 }
 
 func (a *API) handleSeries(w http.ResponseWriter, _ *http.Request) {

@@ -628,7 +628,6 @@ func (p *Pipeline) pendingForwards() int64 {
 
 // ClusterStats snapshots the worker's shard-local cluster counters.
 type ClusterStats struct {
-	WorkerID        string
 	Epoch           uint64
 	Partitions      int
 	OwnedPartitions int
@@ -654,7 +653,6 @@ func (p *Pipeline) clusterStats() *ClusterStats {
 		}
 	}
 	return &ClusterStats{
-		WorkerID:        cl.me,
 		Epoch:           cl.table.Epoch(),
 		Partitions:      cl.cfg.Partitions,
 		OwnedPartitions: owned,

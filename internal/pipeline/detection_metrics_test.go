@@ -66,19 +66,18 @@ func TestDetectionMetricsExposed(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/stats", nil))
-	var doc struct {
-		EventsDetection map[string]map[string]any `json:"events_detection"`
-	}
+	var doc map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	for _, fam := range []string{"proximity", "collision"} {
-		d := doc.EventsDetection[fam]
+		name := "seatwin_events_" + fam + "_update_seconds"
+		d, _ := doc[name].(map[string]any)
 		if d == nil {
-			t.Fatalf("/api/stats missing events_detection.%s", fam)
+			t.Fatalf("/api/stats missing %s", name)
 		}
-		if n, _ := d["updates"].(float64); n == 0 {
-			t.Fatalf("events_detection.%s reports zero updates: %v", fam, d)
+		if n, _ := d["count"].(float64); n == 0 {
+			t.Fatalf("%s reports zero updates: %v", name, d)
 		}
 	}
 }

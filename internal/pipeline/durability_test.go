@@ -264,7 +264,7 @@ func TestChaosPipelineSurvivesStoreFaults(t *testing.T) {
 	api := NewAPI(p)
 	rec := httptest.NewRecorder()
 	api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/stats", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "retry_attempts") {
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "seatwin_retry_attempts_total") {
 		t.Fatalf("/api/stats missing retry counters: %d %s", rec.Code, rec.Body)
 	}
 	rec = httptest.NewRecorder()

@@ -248,6 +248,10 @@ type Pipeline struct {
 	// cl is the cluster worker runtime (nil in single-process mode —
 	// every ownership check on the hot path is then one nil compare).
 	cl *clusterState
+
+	// registry declares every exported series once (telemetry.go);
+	// /metrics and /api/stats render it.
+	registry *metrics.Registry
 }
 
 // pairShardCount stripes the pairwise-event dedup map (power of two).
@@ -473,6 +477,8 @@ func New(cfg Config) (_ *Pipeline, err error) {
 			return nil, err
 		}
 	}
+	p.registry = metrics.NewRegistry()
+	p.registerMetrics()
 	go p.sampler()
 	return p, nil
 }
@@ -953,12 +959,8 @@ type Stats struct {
 	Forecasts  int64
 	LiveActors int64
 	Latency    metrics.Snapshot
-	// InferLatency is the model-inference slice of Latency: the time
-	// vessel actors spend inside ForecastTrack for forecasts that
-	// actually ran the model.
-	InferLatency metrics.Snapshot
-	Events       int64
-	DeadLetter   uint64
+	Events     int64
+	DeadLetter uint64
 	// Durability counters: the retry loop's per-outcome totals and the
 	// checkpoint lifecycle (see DESIGN.md §9).
 	RetryAttempts      int64
@@ -966,7 +968,6 @@ type Stats struct {
 	RetryExhausted     int64
 	CheckpointSaves    int64
 	CheckpointRestores int64
-	CheckpointFailures int64
 	// ProximityDetection and CollisionDetection are the event-detection
 	// layer's per-family telemetry: detector update timing, the
 	// candidate-pair funnel and live tracked-entry occupancy across all
@@ -976,36 +977,26 @@ type Stats struct {
 	// Cluster is the worker's cluster counters, nil in single-process
 	// mode.
 	Cluster *ClusterStats
-	// Train is the process-wide training recorder snapshot: non-zero
-	// only in processes that have trained (or retrained) a model.
-	Train metrics.TrainStats
-	// Lifecycle is the process-wide model-lifecycle snapshot: non-zero
-	// only in processes running the background trainer.
-	Lifecycle metrics.LifecycleStats
 }
 
 // Stats snapshots the pipeline counters.
 func (p *Pipeline) Stats() Stats {
 	return Stats{
-		Messages:     p.messages.Value(),
-		Forecasts:    p.forecasts.Value(),
-		LiveActors:   p.system.LiveActors(),
-		Latency:      p.latency.Snapshot(),
-		InferLatency: p.inferLat.Snapshot(),
-		Events:       p.log.Total(),
-		DeadLetter:   p.system.StatsSnapshot().DeadLetters,
+		Messages:   p.messages.Value(),
+		Forecasts:  p.forecasts.Value(),
+		LiveActors: p.system.LiveActors(),
+		Latency:    p.latency.Snapshot(),
+		Events:     p.log.Total(),
+		DeadLetter: p.system.StatsSnapshot().DeadLetters,
 
 		RetryAttempts:      p.retryAttempts.Value(),
 		RetryRetried:       p.retryRetried.Value(),
 		RetryExhausted:     p.retryExhausted.Value(),
 		CheckpointSaves:    p.ckptSaves.Value(),
 		CheckpointRestores: p.ckptRestores.Value(),
-		CheckpointFailures: p.ckptFailures.Value(),
 		ProximityDetection: p.proxDet.snapshot(),
 		CollisionDetection: p.collDet.snapshot(),
 		Cluster:            p.clusterStats(),
-		Train:              metrics.Training.Snapshot(),
-		Lifecycle:          metrics.Lifecycle.Snapshot(),
 	}
 }
 

@@ -271,7 +271,7 @@ func TestAPIEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats["messages"].(float64) < 7 {
+	if stats["seatwin_messages_total"].(float64) < 7 {
 		t.Fatalf("stats = %v", stats)
 	}
 }

@@ -161,19 +161,15 @@ func TestViewsServingPath(t *testing.T) {
 		t.Fatalf("congestion rollup: %+v", ports)
 	}
 
-	// /api/stats carries the views block; /metrics the seatwin_views_*
-	// family.
+	// /api/stats and /metrics both carry the seatwin_views_* family.
 	rec = get("/api/stats")
 	var stats map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	vdoc, ok := stats["views"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing views block: %v", stats)
-	}
-	if vdoc["epoch"].(float64) < 1 || vdoc["vessels"].(float64) != 3 {
-		t.Fatalf("views stats: %v", vdoc)
+	epoch, _ := stats["seatwin_views_epoch"].(float64)
+	if vessels, _ := stats["seatwin_views_vessels"].(float64); epoch < 1 || vessels != 3 {
+		t.Fatalf("views stats: epoch %v vessels %v", stats["seatwin_views_epoch"], stats["seatwin_views_vessels"])
 	}
 	body := get("/metrics").Body.String()
 	for _, m := range []string{

@@ -23,7 +23,7 @@ package trainer
 
 import (
 	"fmt"
-	"log"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -102,9 +102,6 @@ type Config struct {
 	// OnCycle, when non-nil, receives every cycle's outcome — the
 	// observability and test hook.
 	OnCycle func(CycleResult)
-
-	// Logf replaces the standard logger (nil = log.Printf).
-	Logf func(format string, args ...any)
 }
 
 // CycleResult is one retrain cycle's outcome.
@@ -216,9 +213,6 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.Traj.InputSteps == 0 {
 		cfg.Traj = traj.DefaultConfig()
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
-	}
 	c, err := cfg.Broker.Subscribe(cfg.Topic, cfg.Group)
 	if err != nil {
 		return nil, err
@@ -271,17 +265,19 @@ func (t *Trainer) loop() {
 }
 
 func (t *Trainer) logCycle(res CycleResult) {
+	log := slog.With("component", "trainer", "generation", res.Generation)
 	switch {
 	case res.Skipped:
-		t.cfg.Logf("trainer: cycle skipped (%s): replayed=%d vessels=%d windows=%d",
-			res.SkipReason, res.Replayed, res.Vessels, res.Windows)
+		log.Info("cycle skipped", "reason", res.SkipReason,
+			"replayed", res.Replayed, "vessels", res.Vessels, "windows", res.Windows)
 	case res.Promoted:
-		t.cfg.Logf("trainer: PROMOTED gen=%d: %s (train=%d loss=%.4f retrain=%v eval=%v lanes=%d)",
-			res.Generation, res.Promotion.Reason, res.TrainWindows, res.Loss,
-			res.RetrainTime.Round(time.Millisecond), res.EvalTime.Round(time.Millisecond), res.Lanes)
+		log.Info("candidate promoted", "reason", res.Promotion.Reason,
+			"train_windows", res.TrainWindows, "loss", res.Loss,
+			"retrain", res.RetrainTime.Round(time.Millisecond), "eval", res.EvalTime.Round(time.Millisecond),
+			"lanes", res.Lanes)
 	default:
-		t.cfg.Logf("trainer: rejected candidate: %s (train=%d loss=%.4f gen=%d)",
-			res.Promotion.Reason, res.TrainWindows, res.Loss, res.Generation)
+		log.Info("candidate rejected", "reason", res.Promotion.Reason,
+			"train_windows", res.TrainWindows, "loss", res.Loss)
 	}
 }
 

@@ -37,7 +37,7 @@ func produceDataset(t testing.TB, b *broker.Broker, topic string, ds *fleetsim.R
 }
 
 // fastConfig returns trainer settings sized for a test dataset.
-func fastConfig(b *broker.Broker, live *svrf.Model, t *testing.T) Config {
+func fastConfig(b *broker.Broker, live *svrf.Model) Config {
 	return Config{
 		Broker:          b,
 		Topic:           "ais",
@@ -46,7 +46,6 @@ func fastConfig(b *broker.Broker, live *svrf.Model, t *testing.T) Config {
 		MinTrainWindows: 64,
 		TrainOptions:    svrf.TrainOptions{Epochs: 2, BatchSize: 64, LR: 2e-3, Seed: 1},
 		Promotion:       experiments.PromotionConfig{MaxADERatio: 1.0, MinHoldout: 24},
-		Logf:            t.Logf,
 	}
 }
 
@@ -85,7 +84,7 @@ func TestLifecycleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(fastConfig(b, live, t))
+	tr, err := New(fastConfig(b, live))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestReplayResumesFromCommittedOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr1, err := New(fastConfig(b, live, t))
+	tr1, err := New(fastConfig(b, live))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestReplayResumesFromCommittedOffsets(t *testing.T) {
 	}
 	tr1.Stop() // "process restart": the group's committed offsets survive
 
-	tr2, err := New(fastConfig(b, live, t))
+	tr2, err := New(fastConfig(b, live))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +220,7 @@ func TestWorseCandidateNeverShips(t *testing.T) {
 	genBefore := live.Generation()
 
 	// ...against a candidate whose fit diverges (absurd learning rate).
-	cfg := fastConfig(b, live, t)
+	cfg := fastConfig(b, live)
 	cfg.TrainOptions = svrf.TrainOptions{Epochs: 2, BatchSize: 64, LR: 50, Seed: 1}
 	tr, err := New(cfg)
 	if err != nil {
