@@ -20,14 +20,13 @@ const collBinMeters = 15000.0
 // oracle_test.go as its parity oracle). Semantics are identical; the
 // cost model is not:
 //
-//   - Each forecast is interpolated ONCE at insert onto the
-//     epoch-aligned checkStep tick grid (see collision.go) into a
-//     pooled contiguous sample arena, with per-segment great-circle
-//     setup (Haversine + InitialBearing) hoisted out of the per-tick
-//     loop. Pair checks then never call interpAt: they are straight
-//     sweeps over two precomputed arrays using the batch distance
-//     kernel geo.FastDistancesInto.
-//   - Each slot carries a bounding circle (centroid + radius over the
+//   - Each forecast arrives as a Track, interpolated ONCE (by NewTrack)
+//     onto the epoch-aligned checkStep tick grid (see collision.go) and
+//     shared read-only by every detector it fans out to. Pair checks
+//     never call interpAt: they are straight sweeps over two
+//     precomputed arrays using the batch distance kernel
+//     geo.FastDistancesInto.
+//   - Each track carries a bounding circle (centroid + radius over the
 //     raw forecast points); Update probes a micro-grid of those
 //     circles and prunes candidates by circle overlap before the exact
 //     (oracle-identical) raw-point prefilter and tick sweep run.
@@ -78,21 +77,15 @@ type GridDetector struct {
 	stats DetectorStats
 }
 
-// collSlot is one live forecast: its raw points, bounding circle,
-// precomputed tick samples and micro-grid registration rectangle.
+// collSlot is one live forecast: a reference to its shared track and
+// its registration rectangle in this detector's micro-grid.
 type collSlot struct {
 	mmsi    ais.MMSI
 	gen     uint32
 	live    bool
 	stampNs int64
 
-	raw      []ForecastPoint
-	centroid geo.Point
-	radius   float64
-
-	firstTick int64
-	lastTick  int64
-	samples   []geo.Point
+	track *Track
 
 	// Registration rectangle (inclusive bin ranges; bx0 > bx1 when the
 	// slot is not registered) and the slot's index inside each bin's
@@ -102,6 +95,50 @@ type collSlot struct {
 
 	probeSeq uint64
 }
+
+// Track is a forecast prepared for collision detection: its bounding
+// circle (centroid and radius over the raw points) and its positions on
+// every epoch-aligned tick the forecast spans. Tracks are immutable once
+// built, so one Track serves every collision detector a forecast fans
+// out to, from any goroutine.
+type Track struct {
+	f        Forecast
+	centroid geo.Point
+	radius   float64
+
+	firstTick int64
+	lastTick  int64
+	samples   []geo.Point
+}
+
+// NewTrack samples the forecast once. The Track keeps f.Points without
+// copying them; the caller must not modify them afterwards.
+func NewTrack(f Forecast) *Track {
+	t := &Track{f: f, lastTick: -1}
+	if len(f.Points) == 0 {
+		return t
+	}
+	var sumLat, sumLon float64
+	for _, p := range f.Points {
+		sumLat += p.Pos.Lat
+		sumLon += p.Pos.Lon
+	}
+	n := float64(len(f.Points))
+	t.centroid = geo.Point{Lat: sumLat / n, Lon: sumLon / n}
+	for _, p := range f.Points {
+		if dd := geo.FastDistance(t.centroid, p.Pos); dd > t.radius {
+			t.radius = dd
+		}
+	}
+	t.firstTick, t.lastTick = tickRange(f)
+	if t.lastTick >= t.firstTick {
+		t.samples = appendTrackSamples(make([]geo.Point, 0, t.lastTick-t.firstTick+1), f, t.firstTick, t.lastTick)
+	}
+	return t
+}
+
+// Forecast returns the forecast the track was built from.
+func (t *Track) Forecast() Forecast { return t.f }
 
 // NewGridDetector creates a grid detector whose forecasts expire after
 // the given duration (0 means 10 minutes).
@@ -174,37 +211,38 @@ func minInt32(a, b int32) int32 {
 
 // Update inserts or refreshes a vessel's forecast and returns the
 // collision events it triggers against the other live forecasts. The
-// returned slice is reused by the next Update call.
-func (d *GridDetector) Update(f Forecast, now time.Time) []Event {
+// detector keeps a reference to t. The returned slice is reused by the
+// next Update call.
+func (d *GridDetector) Update(t *Track, now time.Time) []Event {
 	d.out = d.out[:0]
 	nowNs := now.UnixNano()
 	d.evictStale(nowNs)
 
-	si := d.insertSlot(f, nowNs)
-	if len(f.Points) > 0 {
-		d.probePairs(si, f, now, nowNs)
+	si := d.insertSlot(t, nowNs)
+	if len(t.f.Points) > 0 {
+		d.probePairs(si, now, nowNs)
 	}
-	d.commitSlot(si, f.MMSI, nowNs)
+	d.commitSlot(si, t.f.MMSI, nowNs)
 	return d.out
 }
 
 // Seed inserts or refreshes a forecast without running detection — the
-// bulk-preload path benchmarks and state handoff use.
-func (d *GridDetector) Seed(f Forecast, now time.Time) {
+// bulk-preload path of benchmarks and tests.
+func (d *GridDetector) Seed(t *Track, now time.Time) {
 	nowNs := now.UnixNano()
-	si := d.insertSlot(f, nowNs)
-	d.commitSlot(si, f.MMSI, nowNs)
+	si := d.insertSlot(t, nowNs)
+	d.commitSlot(si, t.f.MMSI, nowNs)
 }
 
 // insertSlot drops the vessel's previous forecast (the oracle never
 // compares a vessel against itself) and fills a fresh slot, not yet
 // registered in the micro-grid.
-func (d *GridDetector) insertSlot(f Forecast, nowNs int64) int32 {
-	if si, ok := d.index[f.MMSI]; ok {
+func (d *GridDetector) insertSlot(t *Track, nowNs int64) int32 {
+	if si, ok := d.index[t.f.MMSI]; ok {
 		d.freeSlot(si)
 	}
 	si := d.allocSlot()
-	d.fillSlot(si, f, nowNs)
+	d.fillSlot(si, t, nowNs)
 	return si
 }
 
@@ -216,52 +254,26 @@ func (d *GridDetector) commitSlot(si int32, mmsi ais.MMSI, nowNs int64) {
 	d.ring.push(evictRec{slot: si, gen: d.slots[si].gen, atNs: nowNs})
 }
 
-// fillSlot copies the forecast into the slot's recycled arenas:
-// raw points, bounding circle, registration rectangle and — on the
-// fast path — the precomputed tick samples.
-func (d *GridDetector) fillSlot(si int32, f Forecast, nowNs int64) {
+// fillSlot points the slot at the track and computes its registration
+// rectangle, the only per-detector part: bins are relative to this
+// detector's origin.
+func (d *GridDetector) fillSlot(si int32, t *Track, nowNs int64) {
 	s := &d.slots[si]
-	s.mmsi = f.MMSI
+	s.mmsi = t.f.MMSI
 	s.stampNs = nowNs
 	s.live = true
-	s.raw = s.raw[:0]
-	s.samples = s.samples[:0]
+	s.track = t
 	s.binPos = s.binPos[:0]
-	s.firstTick, s.lastTick = 0, -1
 	s.bx0, s.bx1, s.by0, s.by1 = 0, -1, 0, -1
-	if len(f.Points) == 0 {
+	if len(t.f.Points) == 0 {
 		// Empty forecasts are registered nowhere and can never pair
 		// (the oracle's CheckPair bails on them too).
 		return
 	}
 	if !d.originSet {
-		d.setOrigin(f.Points[0].Pos)
+		d.setOrigin(t.f.Points[0].Pos)
 	}
-
-	var sumLat, sumLon float64
-	for _, p := range f.Points {
-		s.raw = append(s.raw, p)
-		sumLat += p.Pos.Lat
-		sumLon += p.Pos.Lon
-	}
-	n := float64(len(f.Points))
-	s.centroid = geo.Point{Lat: sumLat / n, Lon: sumLon / n}
-	r := 0.0
-	for _, p := range s.raw {
-		if dd := geo.FastDistance(s.centroid, p.Pos); dd > r {
-			r = dd
-		}
-	}
-	s.radius = r
-	s.bx0, s.bx1, s.by0, s.by1 = d.binRect(s.centroid, r, 64)
-
-	if d.fastPath {
-		first, last := tickRange(f)
-		s.firstTick, s.lastTick = first, last
-		if last >= first {
-			s.samples = appendTrackSamples(s.samples, f, first, last)
-		}
-	}
+	s.bx0, s.bx1, s.by0, s.by1 = d.binRect(t.centroid, t.radius, 64)
 }
 
 // appendTrackSamples interpolates the forecast at every tick in
@@ -315,12 +327,13 @@ func appendTrackSamples(dst []geo.Point, f Forecast, first, last int64) []geo.Po
 // probePairs runs the incoming forecast against every candidate slot in
 // the bins its expanded bounding circle touches, emitting events into
 // d.out.
-func (d *GridDetector) probePairs(si int32, f Forecast, now time.Time, nowNs int64) {
+func (d *GridDetector) probePairs(si int32, now time.Time, nowNs int64) {
 	a := &d.slots[si]
+	ta := a.track
 	d.probeSeq++
 	seq := d.probeSeq
 
-	bx0, bx1, by0, by1 := d.binRect(a.centroid, a.radius+d.pruneMargin, 128)
+	bx0, bx1, by0, by1 := d.binRect(ta.centroid, ta.radius+d.pruneMargin, 128)
 	for by := by0; by <= by1; by++ {
 		for bx := bx0; bx <= bx1; bx++ {
 			for _, ci := range d.bins[makeBinKey(bx, by)] {
@@ -336,15 +349,16 @@ func (d *GridDetector) probePairs(si int32, f Forecast, now time.Time, nowNs int
 					continue
 				}
 				d.stats.Candidates++
-				if geo.FastDistance(a.centroid, c.centroid) > a.radius+c.radius+d.pruneMargin {
+				tc := c.track
+				if geo.FastDistance(ta.centroid, tc.centroid) > ta.radius+tc.radius+d.pruneMargin {
 					continue
 				}
 				if d.fastPath {
 					// Exact oracle prefilter: minimum raw-point
 					// distance, same iteration order, same cutoff.
 					minRaw := 1e18
-					for _, pa := range f.Points {
-						for _, pb := range c.raw {
+					for _, pa := range ta.f.Points {
+						for _, pb := range tc.f.Points {
 							if dd := geo.FastDistance(pa.Pos, pb.Pos); dd < minRaw {
 								minRaw = dd
 							}
@@ -354,7 +368,7 @@ func (d *GridDetector) probePairs(si int32, f Forecast, now time.Time, nowNs int
 						continue
 					}
 					d.stats.Checked++
-					if e, ok := d.sweepPair(a, c); ok {
+					if e, ok := d.sweepPair(ta, tc); ok {
 						e.DetectedAt = now
 						d.stats.Emitted++
 						d.out = append(d.out, e)
@@ -363,7 +377,7 @@ func (d *GridDetector) probePairs(si int32, f Forecast, now time.Time, nowNs int
 					// Compatibility path for non-tick-aligned temporal
 					// thresholds: CheckPair runs its own prefilter.
 					d.stats.Checked++
-					if e, ok := CheckPair(f, Forecast{MMSI: c.mmsi, Points: c.raw}, d.cfg); ok {
+					if e, ok := CheckPair(ta.f, tc.f, d.cfg); ok {
 						e.DetectedAt = now
 						d.stats.Emitted++
 						d.out = append(d.out, e)
@@ -380,8 +394,8 @@ func (d *GridDetector) probePairs(si int32, f Forecast, now time.Time, nowNs int
 // reproduces CheckPair's tick/slide iteration order and strict-less
 // best update exactly, so the winning (distance, time, position) are
 // bitwise those of the oracle.
-func (d *GridDetector) sweepPair(a, b *collSlot) (Event, bool) {
-	best := Event{Kind: KindCollisionForecast, A: a.mmsi, B: b.mmsi, Meters: d.cfg.SpatialThresholdMeters}
+func (d *GridDetector) sweepPair(a, b *Track) (Event, bool) {
+	best := Event{Kind: KindCollisionForecast, A: a.f.MMSI, B: b.f.MMSI, Meters: d.cfg.SpatialThresholdMeters}
 	found := false
 	if a.lastTick < a.firstTick || b.lastTick < b.firstTick {
 		return Event{}, false
@@ -451,13 +465,14 @@ func (d *GridDetector) allocSlot() int32 {
 	return int32(len(d.slots) - 1)
 }
 
-// freeSlot unregisters the slot and recycles it, keeping its slice
-// arenas' capacity for the next occupant.
+// freeSlot unregisters the slot, drops its track reference and
+// recycles it, keeping its binPos capacity for the next occupant.
 func (d *GridDetector) freeSlot(si int32) {
 	s := &d.slots[si]
 	d.unregisterSlot(si)
 	delete(d.index, s.mmsi)
 	s.live = false
+	s.track = nil
 	s.gen++
 	d.free = append(d.free, si)
 }

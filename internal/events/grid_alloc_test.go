@@ -10,10 +10,11 @@ import (
 )
 
 // The grid detectors must run allocation-free in steady state: slots,
-// bins, rings, sample arenas and the returned event slice are all
-// recycled. Both tests drive the detectors long enough for every arena
-// to reach its working capacity, then assert zero allocations per
-// update — including eviction/reinsert churn and event emission.
+// bins, rings and the returned event slice are all recycled (collision
+// samples live in the caller's Track). Both tests drive the detectors
+// long enough for every arena to reach its working capacity, then
+// assert zero allocations per update — including eviction/reinsert
+// churn and event emission.
 
 func TestGridProximityUpdateZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -60,30 +61,46 @@ func TestGridCollisionUpdateZeroAlloc(t *testing.T) {
 	const n = 60
 	rng := rand.New(rand.NewSource(5))
 	center := geo.Point{Lat: 1.2, Lon: 103.8}
-	fcs := make([]Forecast, n)
-	for i := range fcs {
+	// Tracks are built before the measured loop: NewTrack's own cost
+	// is gated by TestNewTrackAllocs.
+	tracks := make([]*Track, n)
+	for i := range tracks {
 		pos := geo.Destination(center, rng.Float64()*360, rng.Float64()*3000)
 		cog := rng.Float64() * 360
-		fcs[i] = Forecast{MMSI: ais.MMSI(500000000 + i), Points: []ForecastPoint{
+		tracks[i] = NewTrack(Forecast{MMSI: ais.MMSI(500000000 + i), Points: []ForecastPoint{
 			{Pos: pos, At: t0},
 			{Pos: geo.DeadReckon(pos, 12, cog, 120), At: t0.Add(2 * time.Minute)},
 			{Pos: geo.DeadReckon(pos, 12, cog, 240), At: t0.Add(4 * time.Minute)},
-		}}
+		}})
 	}
 	now := t0
 	for r := 0; r < 4; r++ {
-		for i := range fcs {
+		for i := range tracks {
 			now = now.Add(time.Second)
-			d.Update(fcs[i], now)
+			d.Update(tracks[i], now)
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(300, func() {
 		now = now.Add(time.Second)
-		d.Update(fcs[i%n], now)
+		d.Update(tracks[i%n], now)
 		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("GridDetector.Update allocates %v/op in steady state, want 0", allocs)
+	}
+}
+
+// NewTrack is the one allocation site of collision detection: the Track
+// and its sample array, built once per forecast and shared by every
+// detector of the fan-out.
+func TestNewTrackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	f := lineForecast(1, geo.Point{Lat: 37.5, Lon: 24.5}, 45, 12, t0.Add(7*time.Second))
+	allocs := testing.AllocsPerRun(200, func() { NewTrack(f) })
+	if allocs > 2 {
+		t.Fatalf("NewTrack allocates %v/op, want <= 2", allocs)
 	}
 }

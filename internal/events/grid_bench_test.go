@@ -96,17 +96,35 @@ func BenchmarkDenseCellUpdate(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("collision/grid/occ=%d", occ), func(b *testing.B) {
+			// Tracks are sampled outside the timed loop (the vessel
+			// actor's job; see BenchmarkNewTrack), so this times the
+			// detector alone.
+			tracks := make([]*Track, occ)
+			for i := range tracks {
+				tracks[i] = NewTrack(fcs[i])
+			}
 			d := NewGridDetector(DefaultCollisionConfig(), 10*time.Minute)
 			for i := 0; i < occ; i++ {
-				d.Seed(fcs[i], t0)
+				d.Seed(tracks[i], t0)
 			}
 			now := t0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				now = now.Add(time.Millisecond)
-				d.Update(fcs[n%occ], now)
+				d.Update(tracks[n%occ], now)
 			}
 		})
+	}
+}
+
+// BenchmarkNewTrack times the once-per-forecast sampling of a paper-shaped
+// forecast (7 points, 30 minutes: 121 ticks) that every collision
+// detector of the fan-out then shares.
+func BenchmarkNewTrack(b *testing.B) {
+	f := lineForecast(1, geo.Point{Lat: 37.5, Lon: 24.5}, 45, 12, t0.Add(7*time.Second))
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		NewTrack(f)
 	}
 }

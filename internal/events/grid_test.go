@@ -158,7 +158,7 @@ func runCollisionParity(t *testing.T, cfg CollisionConfig, fleet *collisionFleet
 			fleet.advance(i, 30)
 			f := fleet.forecast(i, now)
 			sc := append([]Event(nil), oracle.Update(f, now)...)
-			gr := append([]Event(nil), grid.Update(f, now)...)
+			gr := append([]Event(nil), grid.Update(NewTrack(f), now)...)
 			compareEventSets(t, "collision", sc, gr)
 			events += len(sc)
 		}
@@ -257,14 +257,14 @@ func TestGridCollisionExpiryCostIndependentOfDeadEntries(t *testing.T) {
 	const dead = 3000
 	for i := 0; i < dead; i++ {
 		pos := geo.Point{Lat: 10 + float64(i/100)*0.7, Lon: -170 + float64(i%100)*0.7}
-		d.Update(mk(600000000+i, pos, t0), t0)
+		d.Update(NewTrack(mk(600000000+i, pos, t0)), t0)
 	}
 	if d.Stats().Candidates != 0 {
 		t.Fatalf("spread-out prepopulation should probe no candidates, got %d", d.Stats().Candidates)
 	}
 	preEvicted := d.Stats().Evicted
 	now := t0.Add(11 * time.Minute)
-	d.Update(mk(700000000, geo.Point{Lat: 50, Lon: 10}, now), now)
+	d.Update(NewTrack(mk(700000000, geo.Point{Lat: 50, Lon: 10}, now)), now)
 	if got := d.Stats().Evicted - preEvicted; got != dead {
 		t.Fatalf("amortized drain evicted %d entries, want %d", got, dead)
 	}
@@ -279,7 +279,7 @@ func TestGridCollisionExpiryCostIndependentOfDeadEntries(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pos := geo.Point{Lat: 50 + float64(i+1)*0.7, Lon: 10}
 		now = now.Add(time.Second)
-		d.Update(mk(700000001+i, pos, now), now)
+		d.Update(NewTrack(mk(700000001+i, pos, now)), now)
 	}
 	if got := d.Stats().Candidates - preCand; got != 0 {
 		t.Fatalf("updates after mass expiry inspected %d candidates, want 0", got)

@@ -206,7 +206,7 @@ func (g *GridProximityDetector) Update(mmsi ais.MMSI, pos geo.Point, at time.Tim
 }
 
 // Seed inserts or refreshes a vessel without running detection — the
-// bulk-preload path benchmarks and state handoff use. Update calls it
+// bulk-preload path of benchmarks. Update calls it
 // for its own-slot refresh, so Seed and Update insert identically.
 func (g *GridProximityDetector) Seed(mmsi ais.MMSI, pos geo.Point, at time.Time) {
 	if !g.originSet {

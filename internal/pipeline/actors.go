@@ -27,10 +27,11 @@ type (
 		pos  geo.Point
 		at   time.Time
 	}
-	// forecastMsg shares a vessel's forecast with a collision actor.
+	// forecastMsg shares a vessel's sampled forecast with a collision
+	// actor. Every actor of the fan-out gets the same read-only track.
 	forecastMsg struct {
-		forecast events.Forecast
-		at       time.Time
+		track *events.Track
+		at    time.Time
 	}
 	// eventMsg notifies writers (and affected vessel actors) of a
 	// detected or forecast event.
@@ -221,11 +222,16 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 					}
 				}
 			}
-			var fm any = forecastMsg{forecast: forecast, at: r.Timestamp}
+			// The track is sampled once, on the first local cell, and
+			// the boxed message is shared by every collision actor.
+			var fm any
 			for cell := range seen {
 				if cl := v.p.cl; cl != nil && !cl.owns(uint64(cell)) {
 					cl.forwardForecast(cell, forecast, r.Timestamp)
 					continue
+				}
+				if fm == nil {
+					fm = forecastMsg{track: v.p.newTrack(forecast), at: r.Timestamp}
 				}
 				c.Send(v.p.collisionActor(cell), fm)
 			}
@@ -335,9 +341,9 @@ func (a *collisionActor) Receive(c *actor.Context) {
 	if !ok {
 		return
 	}
-	a.hint = uint64(m.forecast.MMSI)
+	a.hint = uint64(m.track.Forecast().MMSI)
 	start := time.Now()
-	evs := a.detector.Update(m.forecast, m.at)
+	evs := a.detector.Update(m.track, m.at)
 	a.p.collDet.updateLat.Observe(a.hint, time.Since(start))
 	a.pushDetectorStats()
 	for _, e := range evs {

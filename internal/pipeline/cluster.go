@@ -554,7 +554,7 @@ func (cl *clusterState) deliver(r broker.Record) {
 		})
 	case ForwardedForecast:
 		cl.received.Inc(uint64(v.Cell), 1)
-		p.system.Send(p.collisionActor(v.Cell), forecastMsg{forecast: v.Forecast, at: v.At})
+		p.system.Send(p.collisionActor(v.Cell), forecastMsg{track: p.newTrack(v.Forecast), at: v.At})
 	case ForwardedEvent:
 		cl.received.Inc(uint64(v.MMSI), 1)
 		p.system.Send(p.vesselActor(v.MMSI), eventMsg{event: v.Event})

@@ -113,3 +113,33 @@ func TestDetectionTrackedGaugeDropsOnPassivation(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// Each forecast is sampled into a collision track exactly once, in the
+// vessel actor, however many collision actors it fans out to.
+func TestCollisionTrackSampledOncePerForecast(t *testing.T) {
+	p := newTestPipeline(t)
+	feedClosePair(p, t0)
+	p.Drain(5 * time.Second)
+
+	rec := httptest.NewRecorder()
+	NewAPI(p).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/stats", nil))
+	var doc map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	forecasts, _ := doc["seatwin_forecasts_total"].(float64)
+	count := func(name string) float64 {
+		s, _ := doc[name].(map[string]any)
+		n, _ := s["count"].(float64)
+		return n
+	}
+	tracks := count("seatwin_events_collision_track_seconds")
+	updates := count("seatwin_events_collision_update_seconds")
+	if forecasts == 0 || updates <= forecasts {
+		t.Fatalf("no fan-out to check: %v forecasts, %v collision updates", forecasts, updates)
+	}
+	if tracks != forecasts {
+		t.Fatalf("sampled %v tracks for %v forecasts (%v collision updates), want one per forecast",
+			tracks, forecasts, updates)
+	}
+}

@@ -195,6 +195,7 @@ type Pipeline struct {
 	// lock is taken while processing a message.
 	latency       *metrics.ShardedLatencyRecorder
 	inferLat      *metrics.ShardedLatencyRecorder // model-inference slice of processing
+	trackLat      *metrics.ShardedLatencyRecorder // collision-track sampling (newTrack)
 	procAcc       *metrics.ShardedAccumulator
 	procMu        sync.Mutex // guards movingAvg + series (sampler vs readers)
 	movingAvg     *metrics.MovingAverage
@@ -382,6 +383,7 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		log:         events.NewLog(1 << 14),
 		latency:     metrics.NewShardedLatencyRecorder(0, 1<<15),
 		inferLat:    metrics.NewShardedLatencyRecorder(0, 1<<15),
+		trackLat:    metrics.NewShardedLatencyRecorder(0, 1<<15),
 		procAcc:     metrics.NewShardedAccumulator(0),
 		movingAvg:   metrics.NewMovingAverage(cfg.MetricsWindow),
 		sampleGap:   500,
@@ -918,6 +920,15 @@ func (p *Pipeline) collisionActor(cell hexgrid.Cell) *actor.PID {
 		return pid
 	}
 	return p.collisionActorSlow(cell)
+}
+
+// newTrack samples a forecast for the collision actors, timing it into
+// seatwin_events_collision_track_seconds.
+func (p *Pipeline) newTrack(f events.Forecast) *events.Track {
+	start := time.Now()
+	t := events.NewTrack(f)
+	p.trackLat.Observe(uint64(f.MMSI), time.Since(start))
+	return t
 }
 
 func (p *Pipeline) collisionActorSlow(cell hexgrid.Cell) *actor.PID {

@@ -44,6 +44,7 @@ func (p *Pipeline) registerMetrics() {
 		r.Counter(base+"_evictions_total", "stale "+fam.name+" detector entries evicted", count(fam.d.evictions))
 		r.Gauge(base+"_tracked", "entries tracked across live "+fam.name+" cells", count(fam.d.tracked))
 	}
+	r.Summary("seatwin_events_collision_track_seconds", "collision track sampling time, once per forecast shared with collision cells", p.trackLat.Snapshot)
 
 	vs := p.cfg.Views.Stats
 	r.Gauge("seatwin_views_epoch", "current materialized-view epoch", func() float64 { return float64(vs().Epoch) })
