@@ -280,15 +280,17 @@ func (d *GridDetector) fillSlot(si int32, t *Track, nowNs int64) {
 // [first, last]. It replicates interpAt exactly — same segment choice,
 // same degenerate-span and zero-distance branches, same
 // fraction-of-span arithmetic — but hoists the per-segment great-circle
-// setup (Haversine distance and initial bearing) out of the tick loop,
-// so each tick costs one geo.Destination instead of three great-circle
-// evaluations. The parity tests compare the results against interpAt
-// for bitwise equality.
+// setup (Haversine distance, initial bearing and the start's and
+// bearing's sin/cos in a geo.GreatCircle) out of the tick loop, so each
+// tick pays only the distance-dependent trigonometry of one
+// GreatCircle.At. The parity tests compare the results against
+// interpAt for bitwise equality.
 func appendTrackSamples(dst []geo.Point, f Forecast, first, last int64) []geo.Point {
 	pts := f.Points
 	i := 1
 	segSet := false
-	var dSeg, brSeg, span float64
+	var dSeg, span float64
+	var seg geo.GreatCircle
 	for k := first; k <= last; k++ {
 		t := tickTime(k)
 		for i < len(pts) && t.After(pts[i].At) {
@@ -306,7 +308,7 @@ func appendTrackSamples(dst []geo.Point, f Forecast, first, last int64) []geo.Po
 			span = pts[i].At.Sub(pts[i-1].At).Seconds()
 			if span > 0 {
 				dSeg = geo.Haversine(pts[i-1].Pos, pts[i].Pos)
-				brSeg = geo.InitialBearing(pts[i-1].Pos, pts[i].Pos)
+				seg = geo.NewGreatCircle(pts[i-1].Pos, geo.InitialBearing(pts[i-1].Pos, pts[i].Pos))
 			}
 		}
 		if span <= 0 {
@@ -319,7 +321,7 @@ func appendTrackSamples(dst []geo.Point, f Forecast, first, last int64) []geo.Po
 			continue
 		}
 		fr := t.Sub(pts[i-1].At).Seconds() / span
-		dst = append(dst, geo.Destination(pts[i-1].Pos, brSeg, dSeg*fr))
+		dst = append(dst, seg.At(dSeg*fr))
 	}
 	return dst
 }

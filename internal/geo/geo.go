@@ -140,16 +140,42 @@ func InitialBearing(a, b Point) float64 {
 // distanceMeters along the great circle with the given initial bearing
 // (degrees from north).
 func Destination(p Point, bearingDeg, distanceMeters float64) Point {
-	la1 := p.Lat * degToRad
-	lo1 := p.Lon * degToRad
-	br := bearingDeg * degToRad
-	ad := distanceMeters / EarthRadiusMeters // angular distance
+	return NewGreatCircle(p, bearingDeg).At(distanceMeters)
+}
 
-	sinLa2 := math.Sin(la1)*math.Cos(ad) + math.Cos(la1)*math.Sin(ad)*math.Cos(br)
+// GreatCircle is the great circle leaving a start point on a fixed
+// initial bearing. It holds the start's and the bearing's sin/cos, so
+// walking several distances along one circle (At) pays only the
+// distance-dependent trigonometry. Destination(p, b, d) is
+// NewGreatCircle(p, b).At(d), so both give bit-identical points.
+type GreatCircle struct {
+	lo1            float64 // start longitude, radians
+	sinLa1, cosLa1 float64 // of the start latitude
+	sinBr, cosBr   float64 // of the initial bearing
+}
+
+// NewGreatCircle returns the great circle leaving p on the initial
+// bearing bearingDeg (degrees from north).
+func NewGreatCircle(p Point, bearingDeg float64) GreatCircle {
+	la1 := p.Lat * degToRad
+	br := bearingDeg * degToRad
+	return GreatCircle{
+		lo1:    p.Lon * degToRad,
+		sinLa1: math.Sin(la1), cosLa1: math.Cos(la1),
+		sinBr: math.Sin(br), cosBr: math.Cos(br),
+	}
+}
+
+// At returns the point distanceMeters along the circle from its start.
+func (g GreatCircle) At(distanceMeters float64) Point {
+	ad := distanceMeters / EarthRadiusMeters // angular distance
+	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
+
+	sinLa2 := g.sinLa1*cosAd + g.cosLa1*sinAd*g.cosBr
 	la2 := math.Asin(clamp(sinLa2, -1, 1))
-	y := math.Sin(br) * math.Sin(ad) * math.Cos(la1)
-	x := math.Cos(ad) - math.Sin(la1)*sinLa2
-	lo2 := lo1 + math.Atan2(y, x)
+	y := g.sinBr * sinAd * g.cosLa1
+	x := cosAd - g.sinLa1*sinLa2
+	lo2 := g.lo1 + math.Atan2(y, x)
 
 	return Point{Lat: la2 * radToDeg, Lon: NormalizeLon(lo2 * radToDeg)}
 }

@@ -10,207 +10,131 @@ import "sync"
 // every vessel actor on the hot path, so inference cost per report is
 // what bounds world-fleet-scale throughput.
 //
-// Compile() snapshots the trained weights into a fused layout: the four
-// gate rows of each hidden unit sit adjacent in one 4H x (In+Hidden)
-// row-major block, so a single pass over [x_t ; h_{t-1}] feeds all four
-// gate accumulators from one contiguous weight stream. PredictInto
-// walks the sequence with ping-pong state buffers — no per-step cache —
-// and keeps every intermediate in a sync.Pool-backed Scratch arena, so
-// the steady state allocates nothing.
+// Compile() snapshots the trained weights into a gate-major block
+// layout (blockCell): hidden units are grouped four to a block, and for
+// every column j of [x_t ; h_{t-1}] a block stores its 16 weights as
+// four gates × four units. One LSTM step is then one pass per block
+// that broadcasts each column and multiply-accumulates it into four
+// 4-wide gate accumulators — no horizontal reductions, and the input
+// columns are just the first In columns. On AVX2/FMA hosts the whole
+// step, activations and state update included, is one assembly call
+// (lstmStepAVX2, kernel_avx2_amd64.s); elsewhere stepGo runs the same
+// layout in portable Go. PredictInto walks the sequence with a
+// ping-pong [x ; h] buffer pair and keeps every intermediate in a
+// sync.Pool-backed Scratch arena, so the steady state allocates nothing.
 //
-// The accumulation order is exactly the reference Predict's (bias, then
-// input terms in index order, then hidden terms). Two deliberate,
-// bounded numeric departures buy the rest of the speed: the gate
-// activations use the table-driven expFast (fastmath.go, ~2 ulp), and
-// on GOAMD64=v3 / arm64 builds the multiply-accumulates fuse
-// (kernel_fma.go). Both stay orders of magnitude inside the 1e-12
-// parity contract that TestCompiledParity enforces against the
-// untouched reference Predict.
+// Numerics: the portable step sums each gate pre-activation in the
+// reference order (bias, input columns, hidden columns); the vector
+// kernel fuses the multiply-adds and sums even and odd columns in two
+// banks. Both evaluate the activations through exponentials accurate
+// to a few ulp. TestCompiledParity bounds the drift against the
+// untouched reference Predict at 1e-12; observed drift on trained
+// serving-shape models is ~2e-17.
+//
+// Training-only helpers: the row layout fusedCell, its stepVec/
+// stepScalar GEMV passes and the gemvHiddenAVX2 kernel serve only the
+// compiled training forward (train_compiled.go), whose backward kernels
+// are built on that layout. act4 and tanhFast (fastmath.go) serve
+// training and stepGo below.
 
-// fusedCell is the inference-only snapshot of one LSTM direction.
-type fusedCell struct {
+// blockCell is the inference-only snapshot of one LSTM direction in
+// gate-major blocks of four hidden units.
+type blockCell struct {
 	in, hidden int
-	width      int // in + hidden, the fused row length
-	// w holds 4*hidden rows of length width; rows 4u..4u+3 are the
-	// (input, forget, candidate, output) gate rows of unit u, so one
-	// unit's step streams one contiguous 4*width block. (An
-	// element-interleaved variant was measured ~12% slower: the
-	// walking-slice bookkeeping cost more than the register pressure
-	// it saved.)
+	// blocks is ceil(hidden/4). Units past hidden are padding: their
+	// weight rows and biases are zero, and no step reads their columns,
+	// so they never influence a real unit (with finite inputs their c
+	// and h stay exactly 0).
+	blocks int
+	// width is in + hidden: the columns of [x ; h] a step reads. The
+	// state buffers hold in + 4*blocks values because the kernel writes
+	// whole blocks of h.
+	width int
+	// w holds blocks × width × 16 weights: w[((b*width+j)*4+g)*4+u] is
+	// gate g (input, forget, candidate, output) of unit 4b+u on column j.
 	w []float64
-	// b holds the matching fused biases: b[4u..4u+3].
+	// b holds the biases in the same order: b[(b*4+g)*4+u].
 	b []float64
-	// vec selects the AVX2/FMA hidden-state GEMV (kernel_avx2_amd64.s)
-	// when the CPU supports it and hidden is a multiple of the vector
-	// width; otherwise run uses the portable scalar loop.
-	vec bool
 }
 
-func fuse(c *lstmCell) *fusedCell {
+func packBlocks(c *lstmCell) *blockCell {
+	blocks := (c.Hidden + 3) / 4
 	width := c.In + c.Hidden
-	f := &fusedCell{
-		in: c.In, hidden: c.Hidden, width: width,
-		w:   make([]float64, 4*c.Hidden*width),
-		b:   make([]float64, 4*c.Hidden),
-		vec: hasAVX2FMA && c.Hidden >= 4 && c.Hidden%4 == 0,
+	p := &blockCell{
+		in: c.In, hidden: c.Hidden, blocks: blocks, width: width,
+		w: make([]float64, blocks*width*16),
+		b: make([]float64, blocks*16),
 	}
-	for u := 0; u < c.Hidden; u++ {
-		base := u * 4 * width
-		copy(f.w[base:base+width], c.Wi.W[u*width:(u+1)*width])
-		copy(f.w[base+width:base+2*width], c.Wf.W[u*width:(u+1)*width])
-		copy(f.w[base+2*width:base+3*width], c.Wg.W[u*width:(u+1)*width])
-		copy(f.w[base+3*width:base+4*width], c.Wo.W[u*width:(u+1)*width])
-		f.b[4*u] = c.Bi.W[u]
-		f.b[4*u+1] = c.Bf.W[u]
-		f.b[4*u+2] = c.Bg.W[u]
-		f.b[4*u+3] = c.Bo.W[u]
+	gates := [4]*matrix{c.Wi, c.Wf, c.Wg, c.Wo}
+	biases := [4]*matrix{c.Bi, c.Bf, c.Bg, c.Bo}
+	for unit := 0; unit < c.Hidden; unit++ {
+		blk, u := unit/4, unit%4
+		for g := 0; g < 4; g++ {
+			row := gates[g].W[unit*width : (unit+1)*width]
+			for j, v := range row {
+				p.w[((blk*width+j)*4+g)*4+u] = v
+			}
+			p.b[(blk*4+g)*4+u] = biases[g].W[unit]
+		}
 	}
-	return f
+	return p
 }
 
-// run walks the sequence (reversed when reverse is set) with ping-pong
-// state buffers and returns the slice holding the final hidden state —
-// one of h/hN, so callers must copy before reusing the scratch. z is
-// the 4*hidden pre-activation buffer.
-//
-// Each step is two passes. The GEMV pass streams the fused weight block
-// into z with nothing else in flight, so it runs at the FP-port limit.
-// The activation pass then walks z in a tight loop: adjacent units are
-// independent, so the out-of-order window overlaps their exp chains and
-// divisions instead of serialising them behind a 300-µop GEMV body (the
-// single-pass form measured ~11ns per activation; split, ~5ns).
-func (f *fusedCell) run(seq [][]float64, reverse bool, h, c, hN, cN, z []float64) []float64 {
-	in, hidden := f.in, f.hidden
-	h = h[:hidden]
-	c = c[:hidden]
-	hN = hN[:hidden]
-	cN = cN[:hidden]
-	z = z[:4*hidden]
-	for i := range h {
-		h[i] = 0
-		c[i] = 0
-	}
+// stateLen is the length of one [x ; h] buffer and, minus in, of c.
+func (p *blockCell) stateLen() int { return p.in + 4*p.blocks }
+
+// run walks the sequence (reversed when reverse is set) and returns the
+// final hidden state as a slice of xh or xhN, so callers must copy it
+// before reusing the scratch. xh and xhN are the ping-pong [x ; h]
+// buffers, c the cell state; each step reads one and writes h into the
+// other. vec selects the AVX2/FMA kernel, which uses z (16 per block)
+// for its pre-activations.
+func (p *blockCell) run(seq [][]float64, reverse, vec bool, xh, xhN, c, z []float64) []float64 {
+	in := p.in
+	xh = xh[:p.stateLen()]
+	xhN = xhN[:p.stateLen()]
+	c = c[:4*p.blocks]
+	clear(xh[in:])
+	clear(c)
 	n := len(seq)
 	for t := 0; t < n; t++ {
 		x := seq[t]
 		if reverse {
 			x = seq[n-1-t]
 		}
-		x = x[:in]
-		if f.vec {
-			f.stepVec(x, h, z)
+		copy(xh[:in], x[:in])
+		if vec {
+			lstmStepAVX2(&p.w[0], &p.b[0], &xh[0], &z[:16*p.blocks][0], &xhN[in], &c[0], p.blocks, p.width)
 		} else {
-			f.stepScalar(x, h, z)
+			p.stepGo(xh, xhN[in:], c)
 		}
-		// Gate pass: all four activations of a unit are evaluated by one
-		// act4 call over freshly stored z values, so units pipeline. The
-		// output gate is parked back into z's consumed slot; tanh(c)
-		// gets its own pass below so it reads finished cN values instead
-		// of waiting on this iteration's serial i/f/g chain (measured
-		// ~3x faster than fusing the passes).
-		for u := 0; u < hidden; u++ {
-			ig, fg, gg, og := act4(z[4*u], z[4*u+1], z[4*u+2], z[4*u+3])
-			cN[u] = fg*c[u] + ig*gg
-			z[4*u] = og
-		}
-		for u := 0; u < hidden; u++ {
-			hN[u] = z[4*u] * tanhFast(cN[u])
-		}
-		h, hN = hN, h
-		c, cN = cN, c
+		xh, xhN = xhN, xh
 	}
-	return h
+	return xh[in : in+p.hidden]
 }
 
-// stepVec is the vector GEMV pass of one step: it seeds z with bias +
-// input contributions in Go (the input dim is tiny — 3 in the S-VRF
-// shape), then lets the AVX2/FMA kernel stream the hidden-state block,
-// which is where ~90% of the multiply-accumulates live. Only called
-// when f.vec is set. Shared by the inference run loop and the compiled
-// training forward.
-func (f *fusedCell) stepVec(x, h, z []float64) {
-	in, hidden := f.in, f.hidden
-	for u := 0; u < hidden; u++ {
-		base := u * 4 * f.width
-		ri := f.w[base : base+f.width]
-		rf := ri[f.width : 2*f.width]
-		rg := ri[2*f.width : 3*f.width]
-		ro := ri[3*f.width : 4*f.width]
-		zi := f.b[4*u]
-		zf := f.b[4*u+1]
-		zg := f.b[4*u+2]
-		zo := f.b[4*u+3]
-		rix, rfx, rgx, rox := ri[:in], rf[:in], rg[:in], ro[:in]
-		for k := 0; k < in; k++ {
-			xv := x[k]
-			zi = madd(rix[k], xv, zi)
-			zf = madd(rfx[k], xv, zf)
-			zg = madd(rgx[k], xv, zg)
-			zo = madd(rox[k], xv, zo)
+// stepGo is the portable form of lstmStepAVX2 over the same layout: one
+// LSTM step from xh into h (4*blocks values) and c, in place.
+func (p *blockCell) stepGo(xh, h, c []float64) {
+	width := p.width
+	xh = xh[:width]
+	for blk := 0; blk < p.blocks; blk++ {
+		var z [16]float64
+		copy(z[:], p.b[blk*16:(blk+1)*16])
+		w := p.w[blk*width*16 : (blk+1)*width*16]
+		for j, v := range xh {
+			col := w[j*16 : j*16+16]
+			for k := range z {
+				z[k] = madd(col[k], v, z[k])
+			}
 		}
-		z[4*u] = zi
-		z[4*u+1] = zf
-		z[4*u+2] = zg
-		z[4*u+3] = zo
-	}
-	gemvHiddenAVX2(&f.w[0], &h[0], &z[0], hidden, f.width, in)
-}
-
-// stepScalar is the portable GEMV pass of one step: for each unit it
-// streams the fused 4xwidth weight block over [x ; h] and stores the
-// four gate pre-activations into z. It is the only GEMV on platforms
-// without the vector kernel, and the fallback for hidden sizes the
-// kernel does not cover.
-func (f *fusedCell) stepScalar(x, h, z []float64) {
-	in, hidden := f.in, f.hidden
-	for u := 0; u < hidden; u++ {
-		base := u * 4 * f.width
-		// Re-sliced to exact lengths so the inner loops run without
-		// bounds checks; one contiguous weight stream per unit.
-		ri := f.w[base : base+f.width]
-		rf := ri[f.width : 2*f.width]
-		rg := ri[2*f.width : 3*f.width]
-		ro := ri[3*f.width : 4*f.width]
-		zi := f.b[4*u]
-		zf := f.b[4*u+1]
-		zg := f.b[4*u+2]
-		zo := f.b[4*u+3]
-		// Re-sliced to length in so the prove pass drops every
-		// bounds check in the input loop.
-		rix, rfx, rgx, rox := ri[:in], rf[:in], rg[:in], ro[:in]
-		for k := 0; k < in; k++ {
-			xv := x[k]
-			zi = madd(rix[k], xv, zi)
-			zf = madd(rfx[k], xv, zf)
-			zg = madd(rgx[k], xv, zg)
-			zo = madd(rox[k], xv, zo)
+		cb := c[blk*4 : blk*4+4]
+		hb := h[blk*4 : blk*4+4]
+		for u := 0; u < 4; u++ {
+			ig, fg, gg, og := act4(z[u], z[4+u], z[8+u], z[12+u])
+			cb[u] = fg*cb[u] + ig*gg
+			hb[u] = og * tanhFast(cb[u])
 		}
-		wi := ri[in : in+hidden]
-		wf := rf[in : in+hidden]
-		wg := rg[in : in+hidden]
-		wo := ro[in : in+hidden]
-		// Unrolled by two to halve the loop overhead; the nested
-		// madds keep the reference accumulation order (low index
-		// first), so the generic build stays order-exact.
-		k := 0
-		for ; k+1 < hidden; k += 2 {
-			hv0, hv1 := h[k], h[k+1]
-			zi = madd(wi[k+1], hv1, madd(wi[k], hv0, zi))
-			zf = madd(wf[k+1], hv1, madd(wf[k], hv0, zf))
-			zg = madd(wg[k+1], hv1, madd(wg[k], hv0, zg))
-			zo = madd(wo[k+1], hv1, madd(wo[k], hv0, zo))
-		}
-		if k < hidden {
-			hv := h[k]
-			zi = madd(wi[k], hv, zi)
-			zf = madd(wf[k], hv, zf)
-			zg = madd(wg[k], hv, zg)
-			zo = madd(wo[k], hv, zo)
-		}
-		z[4*u] = zi
-		z[4*u+1] = zf
-		z[4*u+2] = zg
-		z[4*u+3] = zo
 	}
 }
 
@@ -220,10 +144,11 @@ func (f *fusedCell) stepScalar(x, h, z []float64) {
 // one PredictInto call at a time; use one per goroutine, or let
 // PredictInto draw from the model's internal pool by passing nil.
 type Scratch struct {
-	h, c, hN, cN []float64
-	z            []float64 // 4*Hidden pre-activations, one step at a time
-	enc          []float64
-	out          []float64
+	xh, xhN []float64 // ping-pong [x ; h] step buffers
+	c       []float64 // cell state, in place
+	z       []float64 // gate pre-activations of the vector kernel
+	enc     []float64
+	out     []float64
 }
 
 // Out returns the scratch's own output buffer (length OutputDim). It is
@@ -237,36 +162,43 @@ func (s *Scratch) Out() []float64 { return s.out }
 // up new weights. All methods are safe for concurrent use.
 type Compiled struct {
 	cfg    Config
-	fw     *fusedCell
-	bw     *fusedCell // nil when unidirectional
+	fw     *blockCell
+	bw     *blockCell // nil when unidirectional
+	vec    bool       // run steps through the AVX2/FMA kernel
 	encDim int
 	outW   []float64 // OutputDim x encDim, row-major
 	outB   []float64 // OutputDim
 	pool   sync.Pool // *Scratch
 }
 
-// Compile snapshots the model's current weights into the fused
-// inference layout. The returned Compiled produces outputs
-// bit-identical to the reference Predict at the time of the call.
-func (m *SeqRegressor) Compile() *Compiled {
+// Compile snapshots the model's current weights into the block
+// inference layout. The returned Compiled matches the reference Predict
+// at the time of the call within the 1e-12 parity contract.
+func (m *SeqRegressor) Compile() *Compiled { return m.compile(hasAVX2FMA) }
+
+// compile is Compile with the step kernel chosen by the caller: vec
+// selects the AVX2/FMA kernel and must only be set where hasAVX2FMA
+// holds. Tests use it to run the portable path on vector hosts.
+func (m *SeqRegressor) compile(vec bool) *Compiled {
 	c := &Compiled{
 		cfg:    m.cfg,
-		fw:     fuse(m.fw),
+		fw:     packBlocks(m.fw),
+		vec:    vec,
 		encDim: m.cfg.Hidden,
 		outW:   append([]float64(nil), m.out.W...),
 		outB:   append([]float64(nil), m.ob.W...),
 	}
 	if m.bw != nil {
-		c.bw = fuse(m.bw)
+		c.bw = packBlocks(m.bw)
 		c.encDim = 2 * m.cfg.Hidden
 	}
 	c.pool.New = func() any {
+		n := c.fw.stateLen()
 		return &Scratch{
-			h:   make([]float64, c.cfg.Hidden),
-			c:   make([]float64, c.cfg.Hidden),
-			hN:  make([]float64, c.cfg.Hidden),
-			cN:  make([]float64, c.cfg.Hidden),
-			z:   make([]float64, 4*c.cfg.Hidden),
+			xh:  make([]float64, n),
+			xhN: make([]float64, n),
+			c:   make([]float64, 4*c.fw.blocks),
+			z:   make([]float64, 16*c.fw.blocks),
 			enc: make([]float64, c.encDim),
 			out: make([]float64, c.cfg.OutputDim),
 		}
@@ -285,7 +217,7 @@ func (c *Compiled) GetScratch() *Scratch { return c.pool.Get().(*Scratch) }
 // PutScratch returns a scratch to the pool.
 func (c *Compiled) PutScratch(s *Scratch) { c.pool.Put(s) }
 
-// PredictInto runs the fused forward pass over seq and writes the
+// PredictInto runs the compiled forward pass over seq and writes the
 // OutputDim outputs into dst, which it returns. A nil dst selects the
 // scratch's own output buffer; a nil scratch draws one from the
 // internal pool for the duration of the call. With a non-nil dst and
@@ -311,10 +243,10 @@ func (c *Compiled) PredictInto(dst []float64, seq [][]float64, s *Scratch) []flo
 		return dst
 	}
 	enc := s.enc[:c.encDim]
-	hFinal := c.fw.run(seq, false, s.h, s.c, s.hN, s.cN, s.z)
+	hFinal := c.fw.run(seq, false, c.vec, s.xh, s.xhN, s.c, s.z)
 	copy(enc[:c.cfg.Hidden], hFinal)
 	if c.bw != nil {
-		hFinal = c.bw.run(seq, true, s.h, s.c, s.hN, s.cN, s.z)
+		hFinal = c.bw.run(seq, true, c.vec, s.xh, s.xhN, s.c, s.z)
 		copy(enc[c.cfg.Hidden:], hFinal)
 	}
 	for o := 0; o < c.cfg.OutputDim; o++ {

@@ -30,10 +30,9 @@ func randSamples(cfg Config, n int, rng *rand.Rand) []Sample {
 
 // TestCompiledParity is the oracle check the fast path lives under: for
 // randomized trained models — both LSTM and BiLSTM — PredictInto must
-// match the reference Predict within 1e-12 on every output. The fused
-// path accumulates in the reference order; the only drift comes from
-// the ~2 ulp fast activations (and FMA rounding on v3/arm64 builds),
-// which lands around 1e-14 worst case — two orders inside the
+// match the reference Predict within 1e-12 on every output. The drift
+// comes from the few-ulp fast activations, FMA rounding and, on the
+// vector path, the two-bank column sum; it lands far inside the
 // contract. Every eighth model uses the full S-VRF serving shape so
 // the tolerance is exercised at production width, not just toy dims.
 func TestCompiledParity(t *testing.T) {
@@ -79,6 +78,170 @@ func TestCompiledParity(t *testing.T) {
 			}
 		}
 		c.PutScratch(s)
+	}
+}
+
+// compilePaths returns the model compiled for every step kernel this
+// host can run: the portable Go step always, the AVX2/FMA kernel where
+// the CPU has it.
+func compilePaths(m *SeqRegressor) map[string]*Compiled {
+	paths := map[string]*Compiled{"portable": m.compile(false)}
+	if hasAVX2FMA {
+		paths["vector"] = m.compile(true)
+	}
+	return paths
+}
+
+// sameOutput reports whether a compiled output agrees with the
+// reference one: NaN exactly where the reference is NaN, and otherwise
+// within the 1e-12 contract (infinities must match exactly).
+func sameOutput(got, want float64) bool {
+	if math.IsNaN(want) || math.IsNaN(got) {
+		return math.IsNaN(want) && math.IsNaN(got)
+	}
+	if math.IsInf(want, 0) || math.IsInf(got, 0) {
+		return got == want
+	}
+	return math.Abs(got-want) <= 1e-12
+}
+
+// TestCompiledParityEveryHidden runs the parity contract over every
+// hidden size from 1 to 40, uni- and bidirectional, on both step
+// kernels: sizes that are not a multiple of four exercise the padded
+// units of the last block.
+func TestCompiledParityEveryHidden(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for hidden := 1; hidden <= 40; hidden++ {
+		for _, bidir := range []bool{false, true} {
+			cfg := Config{InputDim: 3, Hidden: hidden, OutputDim: 5, Bidirectional: bidir, Seed: int64(hidden)}
+			m, err := NewSeqRegressor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := randSamples(cfg, 4, rng)
+			m.clipNorm = 0
+			m.TrainBatch(data, 1e-2, 1)
+			seqs := [][][]float64{randSamples(cfg, 1, rng)[0].Seq, randSamples(cfg, 1, rng)[0].Seq}
+			for name, c := range compilePaths(m) {
+				for i, seq := range seqs {
+					want := m.Predict(seq)
+					got := c.Predict(seq)
+					for o := range want {
+						if !sameOutput(got[o], want[o]) {
+							t.Fatalf("%s hidden=%d bidir=%v seq %d output %d: compiled %v reference %v",
+								name, hidden, bidir, i, o, got[o], want[o])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompiledNonFinite feeds NaN, infinite and saturating inputs
+// through both step kernels: every output is NaN exactly where the
+// reference output is NaN, and saturated gates land on the reference's
+// values within the contract. Hidden sizes include padded ones, whose
+// padding units see the same inputs.
+func TestCompiledNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	inputs := map[string][]float64{
+		"nan":            {math.NaN(), 0.5, 0.1},
+		"+inf":           {inf, 0.5, 0.1},
+		"-inf":           {0.5, -inf, 0.1},
+		"inf-inf":        {inf, -inf, 0.1},
+		"saturating":     {1e6, -1e6, 1e3},
+		"huge":           {1e200, -1e200, 1e150},
+		"tiny":           {5e-324, -5e-324, 1e-300},
+		"tanh-threshold": {19.07, -19.07, 38.2},
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, hidden := range []int{1, 3, 4, 5, 8, 13, 32} {
+		for _, bidir := range []bool{false, true} {
+			cfg := Config{InputDim: 3, Hidden: hidden, OutputDim: 4, Bidirectional: bidir, Seed: int64(hidden) + 100}
+			m, err := NewSeqRegressor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, bad := range inputs {
+				// The bad row sits mid-sequence so both directions
+				// carry it through later steps.
+				seq := randSamples(cfg, 1, rng)[0].Seq
+				seq[len(seq)/2] = bad
+				want := m.Predict(seq)
+				for path, c := range compilePaths(m) {
+					got := c.Predict(seq)
+					for o := range want {
+						if !sameOutput(got[o], want[o]) {
+							t.Fatalf("%s %s hidden=%d bidir=%v output %d: compiled %v reference %v",
+								path, name, hidden, bidir, o, got[o], want[o])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStepActivations drives one step of each kernel with zero weights,
+// so every gate pre-activation is its bias, and compares the resulting
+// c and h with the stdlib formulas of the reference cell: NaN where the
+// reference is NaN, saturation to the reference's limits, and a few
+// ulp elsewhere, including a random sweep over the gate range.
+func TestStepActivations(t *testing.T) {
+	inf := math.Inf(1)
+	special := []float64{0, 5e-324, -5e-324, 1e-300, 0.3, -0.3, 2, -2, 19.06, 19.08, -19.08,
+		38.2, -38.2, 690, -690, 701, -701, 1e6, -1e6, 1e300, -1e300, inf, -inf, math.NaN()}
+	rng := rand.New(rand.NewSource(31))
+	pick := func(i int) float64 {
+		if i < len(special) {
+			return special[i]
+		}
+		return (rng.Float64()*2 - 1) * 50
+	}
+	const units = 4096
+	cell := &blockCell{in: 1, hidden: units, blocks: units / 4, width: 1 + units}
+	cell.w = make([]float64, cell.blocks*cell.width*16)
+	cell.b = make([]float64, cell.blocks*16)
+	c0 := make([]float64, units)
+	for unit := 0; unit < units; unit++ {
+		blk, u := unit/4, unit%4
+		for g := 0; g < 4; g++ {
+			// Rotate the special values through every gate position.
+			cell.b[(blk*4+g)*4+u] = pick((unit + g*7) % (units - 1))
+		}
+		c0[unit] = pick((unit * 3) % (units - 1))
+	}
+	sig := func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+	close := func(got, want float64) bool {
+		if math.IsNaN(want) || math.IsNaN(got) {
+			return math.IsNaN(want) && math.IsNaN(got)
+		}
+		return got == want || math.Abs(got-want) <= 1e-14*math.Max(1, math.Abs(want))
+	}
+	for _, vec := range []bool{false, true} {
+		if vec && !hasAVX2FMA {
+			continue
+		}
+		xh := make([]float64, cell.stateLen())
+		h := make([]float64, units)
+		c := append([]float64(nil), c0...)
+		if vec {
+			z := make([]float64, 16*cell.blocks)
+			lstmStepAVX2(&cell.w[0], &cell.b[0], &xh[0], &z[0], &h[0], &c[0], cell.blocks, cell.width)
+		} else {
+			cell.stepGo(xh, h, c)
+		}
+		for unit := 0; unit < units; unit++ {
+			blk, u := unit/4, unit%4
+			z := func(g int) float64 { return cell.b[(blk*4+g)*4+u] }
+			wantC := sig(z(1))*c0[unit] + sig(z(0))*math.Tanh(z(2))
+			wantH := sig(z(3)) * math.Tanh(wantC)
+			if !close(c[unit], wantC) || !close(h[unit], wantH) {
+				t.Fatalf("vec=%v unit %d (z=%v %v %v %v, c=%v): c=%v h=%v, want c=%v h=%v",
+					vec, unit, z(0), z(1), z(2), z(3), c0[unit], c[unit], h[unit], wantC, wantH)
+			}
+		}
 	}
 }
 

@@ -7,19 +7,16 @@ import (
 )
 
 // TestFastActivationAccuracy pins the fast activations to the stdlib
-// implementations the reference path uses. The bound here (5e-15
-// relative for exp, 1e-14 absolute for the squashing functions) is what
-// keeps the end-to-end 1e-12 parity contract comfortable.
+// implementations the reference path uses. The bound here (1e-14
+// absolute) is what keeps the end-to-end 1e-12 parity contract
+// comfortable.
 func TestFastActivationAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	var maxExp, maxSig, maxTanh float64
+	var maxSig, maxTanh float64
 	for i := 0; i < 500000; i++ {
 		// Gate pre-activations live well inside +-40 for any sane model;
 		// sweep wider than that to cover pathological weights too.
 		x := (rng.Float64()*2 - 1) * 50
-		if e := math.Abs(expFast(x)-math.Exp(x)) / math.Exp(x); e > maxExp {
-			maxExp = e
-		}
 		if e := math.Abs(sigmoidFast(x) - 1/(1+math.Exp(-x))); e > maxSig {
 			maxSig = e
 		}
@@ -27,10 +24,7 @@ func TestFastActivationAccuracy(t *testing.T) {
 			maxTanh = e
 		}
 	}
-	t.Logf("max err: exp %.3g (rel), sigmoid %.3g (abs), tanh %.3g (abs)", maxExp, maxSig, maxTanh)
-	if maxExp > 5e-15 {
-		t.Errorf("expFast relative error %g exceeds 5e-15", maxExp)
-	}
+	t.Logf("max err: sigmoid %.3g (abs), tanh %.3g (abs)", maxSig, maxTanh)
 	if maxSig > 1e-14 {
 		t.Errorf("sigmoidFast absolute error %g exceeds 1e-14", maxSig)
 	}

@@ -1,20 +1,18 @@
 package nn
 
-// AVX2/FMA fast path for the fused hidden-state GEMV — the one loop
-// nest that dominates compiled inference (4 gate rows x Hidden columns
-// per unit per step). The scalar kernel is load-bound at one weight
-// per cycle; the vector kernel streams four weights per load and four
-// multiply-accumulates per FMA, which roughly halves the GEMV on the
-// machines this repo targets. Everything else (input columns, biases,
-// activations) stays in Go: the input dim is 3 in the S-VRF shape, so
-// vectorising it would buy nothing and cost a tail path.
+// AVX2/FMA kernel for the compiled inference path: one LSTM step of
+// one direction in a single call (see blockCell in compiled.go for the
+// layout). For every block of four hidden units it broadcasts each
+// column of [x ; h] and multiply-accumulates it into four 4-wide gate
+// accumulators; a second pass over the blocks evaluates the three
+// sigmoids, two tanhs and the cell update in registers and writes each
+// block's h and c. The exponential needs no table: 2^k goes straight
+// into the exponent bits and the residual runs through a degree-12
+// polynomial.
 //
 // The kernel is only selected when the CPU and OS support AVX2+FMA
-// (checked once via CPUID/XGETBV below) and Hidden is a multiple of
-// the vector width; every other configuration uses the portable
-// scalar loop. Vector lane reduction reorders the additions relative
-// to the reference accumulation, which the 1e-12 parity contract
-// absorbs (observed drift ~1e-15 on unit-scale dot products).
+// (checked once via CPUID/XGETBV below); every other configuration
+// uses the portable blockCell.stepGo over the same layout.
 
 // cpuidx executes CPUID with the given leaf/subleaf.
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -22,14 +20,14 @@ func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads XCR0; only valid when CPUID reports OSXSAVE.
 func xgetbv0() (low, high uint32)
 
-// gemvHiddenAVX2 adds the hidden-state contribution to the
-// pre-activation buffer: for every unit u and gate g,
-// z[4u+g] += dot(w[(4u+g)*width+in : (4u+g+1)*width], h[:hidden]).
-// z must already hold bias + input contributions. hidden must be a
-// positive multiple of 4; h must have exactly hidden elements.
+// lstmStepAVX2 runs one LSTM step for blocks blocks of four units:
+// reading columns xh[0:width] (the input, then the previous h), it
+// writes h[0:4*blocks] and updates c[0:4*blocks] in place. w and b
+// are a blockCell's weights and biases; z[0:16*blocks] is scratch for
+// the gate pre-activations. h must not overlap xh[0:width].
 //
 //go:noescape
-func gemvHiddenAVX2(w, h, z *float64, hidden, width, in int)
+func lstmStepAVX2(w, b, xh, z, h, c *float64, blocks, width int)
 
 // hasAVX2FMA reports whether the vector kernel may run: AVX2 and FMA
 // in hardware, and YMM state enabled by the OS.

@@ -2,9 +2,13 @@
 
 package nn
 
-// Non-amd64 builds never select the vector kernel; the portable scalar
-// loop in compiled.go is the only GEMV path.
+// Non-amd64 builds never select the vector kernels: inference runs
+// blockCell.stepGo and training the portable scalar loops.
 const hasAVX2FMA = false
+
+func lstmStepAVX2(w, b, xh, z, h, c *float64, blocks, width int) {
+	panic("nn: vector kernel called on a platform without it")
+}
 
 func gemvHiddenAVX2(w, h, z *float64, hidden, width, in int) {
 	panic("nn: vector kernel called on a platform without it")

@@ -1,9 +1,18 @@
 package nn
 
-// Training-only AVX2/FMA kernels (kernel_train_amd64.s). Both are
-// gated by the same hasAVX2FMA check as the inference GEMV and are only
-// reached on the fusedTrain vector path, which requires hidden to be a
-// positive multiple of 4.
+// Training-only AVX2/FMA kernels (kernel_train_amd64.s). All three are
+// gated by the same hasAVX2FMA check as the inference step kernel and
+// are only reached on the fusedTrain vector path, which requires hidden
+// to be a positive multiple of 4.
+
+// gemvHiddenAVX2 adds the hidden-state contribution to the
+// pre-activation buffer: for every unit u and gate g,
+// z[4u+g] += dot(w[(4u+g)*width+in : (4u+g+1)*width], h[:hidden]).
+// z must already hold bias + input contributions. hidden must be a
+// positive multiple of 4; h must have exactly hidden elements.
+//
+//go:noescape
+func gemvHiddenAVX2(w, h, z *float64, hidden, width, in int)
 
 // dotRows4AVX2 accumulates row dot products in groups of four:
 // y[r] += dot(w[r*stride : r*stride+cols], x[:cols]) for every

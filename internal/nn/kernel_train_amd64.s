@@ -3,10 +3,122 @@
 
 #include "textflag.h"
 
+// func gemvHiddenAVX2(w, h, z *float64, hidden, width, in int)
+//
+// Register plan:
+//   DI  row base of the current unit's gate-i row, offset to column in
+//   SI  h base
+//   R8  z cursor
+//   R9  units remaining
+//   R12 row stride in bytes (width*8)
+//   R13 hidden (k-loop trip count, in elements)
+//   AX/BX/CX/DX  the four gate-row cursors inside the k loop
+//   R14 h cursor, R15 k counter
+//   Y0..Y3 gate accumulators, Y4 h vector
+TEXT ·gemvHiddenAVX2(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ z+16(FP), R8
+	MOVQ hidden+24(FP), R13
+	MOVQ width+32(FP), R12
+	MOVQ in+40(FP), R11
+	SHLQ $3, R12              // stride = width*8 bytes
+	LEAQ (DI)(R11*8), DI      // skip the input columns: start at column in
+	MOVQ R13, R9              // units = hidden
+
+unit_loop:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	MOVQ DI, AX               // gate i row
+	LEAQ (DI)(R12*1), BX      // gate f row
+	LEAQ (DI)(R12*2), CX      // gate g row
+	LEAQ (BX)(R12*2), DX      // gate o row
+	MOVQ SI, R14
+	MOVQ R13, R15
+	CMPQ R15, $8
+	JLT  tail4
+
+	// Two chunks per iteration with a second accumulator bank
+	// (Y5..Y8): a single bank leaves each FMA chain waiting out its
+	// own latency — two banks double the dependency distance and let
+	// the FMA ports saturate.
+k_loop8:
+	VMOVUPD (R14), Y4
+	VMOVUPD 32(R14), Y9
+	VFMADD231PD (AX), Y4, Y0
+	VFMADD231PD 32(AX), Y9, Y5
+	VFMADD231PD (BX), Y4, Y1
+	VFMADD231PD 32(BX), Y9, Y6
+	VFMADD231PD (CX), Y4, Y2
+	VFMADD231PD 32(CX), Y9, Y7
+	VFMADD231PD (DX), Y4, Y3
+	VFMADD231PD 32(DX), Y9, Y8
+	ADDQ $64, R14
+	ADDQ $64, AX
+	ADDQ $64, BX
+	ADDQ $64, CX
+	ADDQ $64, DX
+	SUBQ $8, R15
+	CMPQ R15, $8
+	JGE  k_loop8
+
+	TESTQ R15, R15
+	JZ   combine
+
+	// hidden is a multiple of 4, so at most one 4-wide chunk remains.
+tail4:
+	VMOVUPD (R14), Y4
+	VFMADD231PD (AX), Y4, Y0
+	VFMADD231PD (BX), Y4, Y1
+	VFMADD231PD (CX), Y4, Y2
+	VFMADD231PD (DX), Y4, Y3
+
+combine:
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+
+	// Reduce each YMM accumulator to a scalar and add into z.
+	VEXTRACTF128 $1, Y0, X4
+	VADDPD X4, X0, X0
+	VHADDPD X0, X0, X0
+	VADDSD (R8), X0, X0
+	VMOVSD X0, (R8)
+	VEXTRACTF128 $1, Y1, X4
+	VADDPD X4, X1, X1
+	VHADDPD X1, X1, X1
+	VADDSD 8(R8), X1, X1
+	VMOVSD X1, 8(R8)
+	VEXTRACTF128 $1, Y2, X4
+	VADDPD X4, X2, X2
+	VHADDPD X2, X2, X2
+	VADDSD 16(R8), X2, X2
+	VMOVSD X2, 16(R8)
+	VEXTRACTF128 $1, Y3, X4
+	VADDPD X4, X3, X3
+	VHADDPD X3, X3, X3
+	VADDSD 24(R8), X3, X3
+	VMOVSD X3, 24(R8)
+
+	ADDQ $32, R8              // z advances four gates per unit
+	LEAQ (DI)(R12*4), DI      // next unit's gate-i row
+	DECQ R9
+	JNZ  unit_loop
+
+	VZEROUPPER
+	RET
+
 // func dotRows4AVX2(w, x, y *float64, groups, cols, stride int)
 //
 // Same register plan and two-bank accumulator scheme as
-// gemvHiddenAVX2 (kernel_avx2_amd64.s), minus the input-column offset:
+// gemvHiddenAVX2 above, minus the input-column offset:
 // rows start at w itself and advance by stride.
 //   DI  base of the current group's first row
 //   SI  x base

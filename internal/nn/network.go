@@ -477,27 +477,74 @@ func (m *SeqRegressor) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(snap)
 }
 
-// Load reads a model written by Save.
+// Load reads a model written by Save. The snapshot's configuration is
+// checked against the weight blocks it carries before anything is
+// allocated, so a corrupt or hostile file yields an error, not a model
+// sized by whatever dimensions it claims.
 func Load(r io.Reader) (*SeqRegressor, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+		return nil, err
+	}
+	if err := checkSnapshot(snap); err != nil {
 		return nil, err
 	}
 	m, err := NewSeqRegressor(snap.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	mats := m.matrices()
-	if len(mats) != len(snap.Weights) {
-		return nil, fmt.Errorf("nn: snapshot has %d blocks, model wants %d", len(snap.Weights), len(mats))
-	}
-	for i, w := range snap.Weights {
-		if len(w) != len(mats[i].W) {
-			return nil, fmt.Errorf("nn: block %d has %d weights, want %d", i, len(w), len(mats[i].W))
-		}
-		copy(mats[i].W, w)
+	for i, mat := range m.matrices() {
+		copy(mat.W, snap.Weights[i])
 	}
 	return m, nil
+}
+
+// checkSnapshot verifies that snap.Weights holds exactly the blocks
+// NewSeqRegressor(snap.Cfg) builds, in matrices() order, each of the
+// size the configuration implies. Sizes are computed with overflow
+// checks: a wrapped product could otherwise match a short block.
+func checkSnapshot(snap snapshot) error {
+	cfg := snap.Cfg
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	mul := func(a, b int) (int, bool) {
+		if a > math.MaxInt/b {
+			return 0, false
+		}
+		return a * b, true
+	}
+	overflow := fmt.Errorf("nn: snapshot dimensions overflow: %+v", cfg)
+	width := cfg.InputDim + cfg.Hidden
+	if width < cfg.Hidden {
+		return overflow
+	}
+	gate, ok := mul(cfg.Hidden, width)
+	if !ok {
+		return overflow
+	}
+	cell := []int{gate, gate, gate, gate, cfg.Hidden, cfg.Hidden, cfg.Hidden, cfg.Hidden}
+	encDim := cfg.Hidden
+	if cfg.Bidirectional {
+		encDim, ok = mul(cfg.Hidden, 2)
+	}
+	out, ok2 := mul(cfg.OutputDim, encDim)
+	if !ok || !ok2 {
+		return overflow
+	}
+	want := append(append([]int(nil), cell...), out, cfg.OutputDim)
+	if cfg.Bidirectional {
+		want = append(want, cell...)
+	}
+	if len(snap.Weights) != len(want) {
+		return fmt.Errorf("nn: snapshot has %d blocks, model wants %d", len(snap.Weights), len(want))
+	}
+	for i, w := range snap.Weights {
+		if len(w) != want[i] {
+			return fmt.Errorf("nn: block %d has %d weights, want %d", i, len(w), want[i])
+		}
+	}
+	return nil
 }
 
 // SaveFile saves to a file path atomically.

@@ -10,16 +10,17 @@ import (
 // in both directions of both passes; profiling shows >90% of a training
 // step is the two GEMV-shaped loop nests — forward pre-activations and
 // the backward hidden-state gradient — plus the rank-1 weight-gradient
-// updates. All three are exactly the memory shapes the PR 3 fused
-// inference layout was built for, so TrainCompiled packs the gate
-// matrices into the same 4H x (In+Hidden) row-major blocks, runs the
-// forward GEMV through the identical stepVec/stepScalar kernels, and
-// adds two training-only kernels (kernel_train_amd64.s): dotRows4AVX2
-// for the transposed backward GEMV and rank1HiddenAVX2 for the rank-1
-// weight-gradient updates.
+// updates. TrainCompiled packs the gate matrices into 4H x (In+Hidden)
+// row-major blocks (fusedCell: the four gate rows of each unit
+// adjacent), runs the forward GEMV through stepVec/stepScalar, and
+// uses three AVX2 kernels (kernel_train_amd64.s): gemvHiddenAVX2 for
+// the forward hidden-state GEMV, dotRows4AVX2 for the transposed
+// backward GEMV and deferredRank1AVX2 for the weight-gradient updates.
+// Serving uses a different, gate-major layout (compiled.go); this row
+// layout stays because the backward kernels are built on it.
 //
-// Numerics: the compiled forward uses act4/tanhFast (~2 ulp) like
-// compiled inference; everything downstream of the activations is the
+// Numerics: the compiled forward uses act4/tanhFast (~2 ulp);
+// everything downstream of the activations is the
 // same arithmetic as the reference BPTT in the same order, so per-
 // element gradients agree with the reference to ~1e-12 on trained-scale
 // weights — the gradient-check tests enforce <=1e-8. The optimiser is
@@ -36,8 +37,116 @@ import (
 // samples w, w+workers, ...) and merge in worker order, so a fixed
 // worker count is exactly reproducible.
 
+// fusedCell is the row layout of one LSTM direction that compiled
+// training runs its forward and backward kernels on.
+type fusedCell struct {
+	in, hidden int
+	width      int // in + hidden, the fused row length
+	// w holds 4*hidden rows of length width; rows 4u..4u+3 are the
+	// (input, forget, candidate, output) gate rows of unit u, so one
+	// unit's step streams one contiguous 4*width block.
+	w []float64
+	// b holds the matching fused biases: b[4u..4u+3].
+	b []float64
+	// vec selects the AVX2/FMA kernels (kernel_train_amd64.s) when the
+	// CPU supports them and hidden is a multiple of the vector width;
+	// otherwise training uses the portable scalar loops.
+	vec bool
+}
+
+// stepVec is the vector GEMV pass of one step: it seeds z with bias +
+// input contributions in Go (the input dim is tiny — 3 in the S-VRF
+// shape), then lets the AVX2/FMA kernel stream the hidden-state block,
+// which is where ~90% of the multiply-accumulates live. Only called
+// when f.vec is set.
+func (f *fusedCell) stepVec(x, h, z []float64) {
+	in, hidden := f.in, f.hidden
+	for u := 0; u < hidden; u++ {
+		base := u * 4 * f.width
+		ri := f.w[base : base+f.width]
+		rf := ri[f.width : 2*f.width]
+		rg := ri[2*f.width : 3*f.width]
+		ro := ri[3*f.width : 4*f.width]
+		zi := f.b[4*u]
+		zf := f.b[4*u+1]
+		zg := f.b[4*u+2]
+		zo := f.b[4*u+3]
+		rix, rfx, rgx, rox := ri[:in], rf[:in], rg[:in], ro[:in]
+		for k := 0; k < in; k++ {
+			xv := x[k]
+			zi = madd(rix[k], xv, zi)
+			zf = madd(rfx[k], xv, zf)
+			zg = madd(rgx[k], xv, zg)
+			zo = madd(rox[k], xv, zo)
+		}
+		z[4*u] = zi
+		z[4*u+1] = zf
+		z[4*u+2] = zg
+		z[4*u+3] = zo
+	}
+	gemvHiddenAVX2(&f.w[0], &h[0], &z[0], hidden, f.width, in)
+}
+
+// stepScalar is the portable GEMV pass of one step: for each unit it
+// streams the fused 4xwidth weight block over [x ; h] and stores the
+// four gate pre-activations into z. It is the training forward's GEMV
+// on platforms without the vector kernel, and for hidden sizes the
+// kernel does not cover.
+func (f *fusedCell) stepScalar(x, h, z []float64) {
+	in, hidden := f.in, f.hidden
+	for u := 0; u < hidden; u++ {
+		base := u * 4 * f.width
+		// Re-sliced to exact lengths so the inner loops run without
+		// bounds checks; one contiguous weight stream per unit.
+		ri := f.w[base : base+f.width]
+		rf := ri[f.width : 2*f.width]
+		rg := ri[2*f.width : 3*f.width]
+		ro := ri[3*f.width : 4*f.width]
+		zi := f.b[4*u]
+		zf := f.b[4*u+1]
+		zg := f.b[4*u+2]
+		zo := f.b[4*u+3]
+		// Re-sliced to length in so the prove pass drops every
+		// bounds check in the input loop.
+		rix, rfx, rgx, rox := ri[:in], rf[:in], rg[:in], ro[:in]
+		for k := 0; k < in; k++ {
+			xv := x[k]
+			zi = madd(rix[k], xv, zi)
+			zf = madd(rfx[k], xv, zf)
+			zg = madd(rgx[k], xv, zg)
+			zo = madd(rox[k], xv, zo)
+		}
+		wi := ri[in : in+hidden]
+		wf := rf[in : in+hidden]
+		wg := rg[in : in+hidden]
+		wo := ro[in : in+hidden]
+		// Unrolled by two to halve the loop overhead; the nested
+		// madds keep the reference accumulation order (low index
+		// first), so the generic build stays order-exact.
+		k := 0
+		for ; k+1 < hidden; k += 2 {
+			hv0, hv1 := h[k], h[k+1]
+			zi = madd(wi[k+1], hv1, madd(wi[k], hv0, zi))
+			zf = madd(wf[k+1], hv1, madd(wf[k], hv0, zf))
+			zg = madd(wg[k+1], hv1, madd(wg[k], hv0, zg))
+			zo = madd(wo[k+1], hv1, madd(wo[k], hv0, zo))
+		}
+		if k < hidden {
+			hv := h[k]
+			zi = madd(wi[k], hv, zi)
+			zf = madd(wf[k], hv, zf)
+			zg = madd(wg[k], hv, zg)
+			zo = madd(wo[k], hv, zo)
+		}
+		z[4*u] = zi
+		z[4*u+1] = zf
+		z[4*u+2] = zg
+		z[4*u+3] = zo
+	}
+}
+
 // fusedTrain is one LSTM direction's training-time fused snapshot: the
-// inference fusedCell layout plus the transposed hidden block the
+// fusedCell layout plus the transposed hidden block the
 // backward GEMV streams, and the source cell to re-pack from after each
 // optimiser step.
 type fusedTrain struct {
@@ -52,7 +161,16 @@ type fusedTrain struct {
 }
 
 func newFusedTrain(c *lstmCell) *fusedTrain {
-	ft := &fusedTrain{fusedCell: *fuse(c), src: c}
+	width := c.In + c.Hidden
+	ft := &fusedTrain{
+		fusedCell: fusedCell{
+			in: c.In, hidden: c.Hidden, width: width,
+			w:   make([]float64, 4*c.Hidden*width),
+			b:   make([]float64, 4*c.Hidden),
+			vec: hasAVX2FMA && c.Hidden >= 4 && c.Hidden%4 == 0,
+		},
+		src: c,
+	}
 	if ft.vec {
 		ft.wT = make([]float64, ft.hidden*4*ft.hidden)
 	}
@@ -171,8 +289,7 @@ func (ft *fusedTrain) forwardTrain(seq [][]float64, reverse bool, ar *trainArena
 			g[4*u+3] = og
 		}
 		// Separate pass so tanh reads finished cN values instead of
-		// serialising behind each unit's i/f/g chain (same split as the
-		// inference run loop).
+		// serialising behind each unit's i/f/g chain.
 		for u := 0; u < hidden; u++ {
 			tC[u] = tanhFast(cN[u])
 			hN[u] = g[4*u+3] * tC[u]
